@@ -97,7 +97,9 @@ func TestCLIPipeline(t *testing.T) {
 	}
 }
 
-// TestCLIBenchSmoke runs one tiny bench section through the CLI.
+// TestCLIBenchSmoke runs one tiny bench section through the CLI, and
+// pins that the CLI is the paper scoreboard only: the serve / benchjson /
+// benchcmp subcommands the benchmark/ harness replaced are usage errors.
 func TestCLIBenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI bench is slow; skipped in -short mode")
@@ -110,6 +112,18 @@ func TestCLIBenchSmoke(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "enron") {
 		t.Errorf("bench output unexpected:\n%s", out)
+	}
+
+	const usage = "usage: hopdb-bench [flags] all|table6|table7|table8|fig8|fig9|fig10|assumptions\n"
+	for _, gone := range []string{"serve", "benchjson", "benchcmp"} {
+		out, err := exec.Command(benchBin, gone).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("hopdb-bench %s: %v, want exit 2", gone, err)
+		}
+		if !strings.HasPrefix(string(out), usage) {
+			t.Errorf("hopdb-bench %s does not lead with the usage line:\n%s", gone, out)
+		}
 	}
 }
 

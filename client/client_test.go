@@ -42,11 +42,11 @@ func testIndex(t *testing.T, attachGraph bool) *hopdb.Index {
 		if err := idx.Save(file); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := hopdb.LoadIndex(file)
+		loaded, err := hopdb.Open(file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return loaded
+		return loaded.(*hopdb.Index)
 	}
 	return idx
 }

@@ -1,8 +1,8 @@
 // Command hopdb-bench regenerates the paper's evaluation: every table and
 // figure of Section 8 over the synthetic proxy datasets (see DESIGN.md §5
-// for the substitution rationale). It also carries the serving-path
-// tooling: a load generator for hopdb-serve and a converter that turns
-// `go test -bench` output into the BENCH_PR.json artifact CI archives.
+// for the substitution rationale). Performance claims about hopdb itself
+// come from the one harness under benchmark/ (bash benchmark/run.sh), not
+// from this command.
 //
 // Usage:
 //
@@ -13,24 +13,17 @@
 //	hopdb-bench fig8
 //	hopdb-bench fig9
 //	hopdb-bench fig10
+//	hopdb-bench assumptions
 //	hopdb-bench -datasets enron,syn6 table6
-//	hopdb-bench -url http://127.0.0.1:8080 -requests 10000 -conc 16 serve
-//	hopdb-bench -url http://127.0.0.1:8080 -batch 64 -binary serve
-//	hopdb-bench -url http://127.0.0.1:8090 -hedge serve   # router hedging A/B
-//	go test -bench 'Distance|LoadIndex|BuildRanked|ShardedBatch' -benchtime 1x -run '^$' | hopdb-bench benchjson
-//	hopdb-bench -base BENCH_BASE.json -new BENCH_PR.json benchcmp
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/benchfmt"
 )
 
 func main() {
@@ -40,69 +33,12 @@ func main() {
 		datasets = flag.String("datasets", "", "comma-separated dataset subset (default: all 27)")
 		verbose  = flag.Bool("v", false, "stream progress")
 		tempDir  = flag.String("tmp", "", "temp dir for external builds")
-
-		url      = flag.String("url", "http://127.0.0.1:8080", "hopdb-serve base URL (serve)")
-		requests = flag.Int("requests", 1000, "total HTTP requests to send (serve)")
-		conc     = flag.Int("conc", 8, "concurrent clients (serve)")
-		batch    = flag.Int("batch", 1, "pairs per request; >1 uses POST /v1/batch (serve)")
-		binary   = flag.Bool("binary", false, "encode batches with the compact binary encoding (serve)")
-		nvert    = flag.Int("nvert", 0, "vertex id space; 0 asks the server's /v1/stats (serve)")
-		seed     = flag.Int64("seed", 1, "workload seed (serve)")
-		hedged   = flag.Bool("hedge", false, "run the workload twice against a hopdb-router — hedging suppressed, then enabled — and compare tail latency (serve)")
-
-		basePath   = flag.String("base", "BENCH_BASE.json", "baseline benchmark report (benchcmp)")
-		newPath    = flag.String("new", "BENCH_PR.json", "candidate benchmark report (benchcmp)")
-		matchExpr  = flag.String("match", "^Benchmark(Distance|LoadIndex|BuildRanked|ShardedBatch)", "benchmark name filter (benchcmp)")
-		maxRegress = flag.Float64("max-regress", 0.25, "fail benchcmp when ns/op grows by more than this fraction")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		usage()
 	}
 	what := flag.Arg(0)
-
-	switch what {
-	case "benchcmp":
-		if err := runBenchcmp(*basePath, *newPath, *matchExpr, *maxRegress); err != nil {
-			fail(err)
-		}
-		return
-	case "serve":
-		opt := bench.ServeBenchOptions{
-			URL:         *url,
-			Requests:    *requests,
-			Concurrency: *conc,
-			Batch:       *batch,
-			Binary:      *binary,
-			MaxVertex:   int32(*nvert),
-			Seed:        *seed,
-		}
-		if *hedged {
-			off, on, err := bench.RunServeBenchHedge(opt)
-			if err != nil {
-				fail(err)
-			}
-			bench.PrintHedgeComparison(os.Stdout, opt, off, on)
-			return
-		}
-		res, err := bench.RunServeBench(opt)
-		if err != nil {
-			fail(err)
-		}
-		bench.PrintServeBench(os.Stdout, opt, res)
-		return
-	case "benchjson":
-		rep, err := benchfmt.Parse(os.Stdin)
-		if err != nil {
-			fail(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fail(err)
-		}
-		return
-	}
 
 	ds := bench.Datasets()
 	if *datasets != "" {
@@ -217,57 +153,8 @@ func scaleNs(ns []int32, scale float64) []int32 {
 	return out
 }
 
-// runBenchcmp compares two benchjson reports and fails (exit 1) on a
-// regression beyond maxRegress. A CPU mismatch between the reports makes
-// absolute times meaningless, so it warns and passes instead — the right
-// response there is refreshing the committed baseline, not blocking the
-// change under test.
-func runBenchcmp(basePath, newPath, matchExpr string, maxRegress float64) error {
-	match, err := regexp.Compile(matchExpr)
-	if err != nil {
-		return fmt.Errorf("bad -match %q: %w", matchExpr, err)
-	}
-	load := func(path string) (*benchfmt.Report, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		var rep benchfmt.Report
-		if err := json.NewDecoder(f).Decode(&rep); err != nil {
-			return nil, fmt.Errorf("parsing %s: %w", path, err)
-		}
-		return &rep, nil
-	}
-	base, err := load(basePath)
-	if err != nil {
-		return err
-	}
-	cur, err := load(newPath)
-	if err != nil {
-		return err
-	}
-	res := benchfmt.Compare(base, cur, match, maxRegress)
-	benchfmt.PrintCompare(os.Stdout, res)
-	if len(res.Comparisons) == 0 {
-		return fmt.Errorf("no benchmarks matched %q in both reports", matchExpr)
-	}
-	switch {
-	case res.CPUMismatch:
-		fmt.Printf("benchcmp: SKIPPED (cpu mismatch; refresh %s on this hardware)\n", basePath)
-	case len(res.Regressions) > 0:
-		fmt.Printf("benchcmp: FAILED, %d benchmark(s) regressed more than %.0f%%\n",
-			len(res.Regressions), maxRegress*100)
-		os.Exit(1)
-	default:
-		fmt.Printf("benchcmp: OK, %d benchmark(s) within %.0f%% of baseline\n",
-			len(res.Comparisons), maxRegress*100)
-	}
-	return nil
-}
-
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: hopdb-bench [flags] all|table6|table7|table8|fig8|fig9|fig10|assumptions|serve|benchjson|benchcmp")
+	fmt.Fprintln(os.Stderr, "usage: hopdb-bench [flags] all|table6|table7|table8|fig8|fig9|fig10|assumptions")
 	flag.PrintDefaults()
 	os.Exit(2)
 }

@@ -47,7 +47,7 @@ func main() {
 		diskPath = flag.String("disk", "", "disk-query index file")
 		qPath    = flag.String("q", "-", `query file ("-" or empty = stdin)`)
 		cache    = flag.Int("cache", 0, "disk label cache entries")
-		useMmap  = flag.Bool("mmap", false, "memory-map the -idx file (v2 flat format) instead of reading it into memory")
+		useMmap  = flag.Bool("mmap", false, "memory-map the -idx file (v2 flat format); zero-copy only in a -tags hopdb_unsafe binary, the default build decodes the mapping into heap memory")
 	)
 	flag.Parse()
 	if (*idxPath == "") == (*diskPath == "") {

@@ -1,9 +1,9 @@
 // Command hopdb-serve is the long-lived query server: it opens a
 // hop-doubling label index once through hopdb.Open — read into memory,
-// zero-copy mmap'd (-mmap), served straight from the block-addressable
-// disk format (-disk), or even proxied from another hopdb-serve
-// (-remote) — and answers distance queries over the versioned /v1 HTTP
-// API until shut down.
+// mmap'd (-mmap; zero-copy in a -tags hopdb_unsafe binary), served
+// straight from the block-addressable disk format (-disk), or even
+// proxied from another hopdb-serve (-remote) — and answers distance
+// queries over the versioned /v1 HTTP API until shut down.
 //
 // Usage:
 //
@@ -31,9 +31,8 @@
 // be attached or detached at runtime through POST/DELETE
 // /v1/admin/datasets/{name} without blocking readers.
 //
-// Endpoints (flat /v1/* routes — also reachable without the prefix, as
-// legacy aliases — serve the "default" dataset; every query route also
-// exists dataset-scoped as /v1/{dataset}/...):
+// Endpoints (flat /v1/* routes serve the "default" dataset; every query
+// route also exists dataset-scoped as /v1/{dataset}/...):
 //
 //	GET  /v1/distance?s=1&t=2  one pair
 //	POST /v1/batch             JSON array of [s,t] pairs, or the compact
@@ -82,7 +81,7 @@ func main() {
 		remoteURL  = flag.String("remote", "", "upstream hopdb-serve URL to proxy (adds a serving + cache tier)")
 		shardPath  = flag.String("shard", "", "rank-shard file written by hopdb-build -shards; serves only its rank range (pair with hopdb-router -shard-map)")
 		shardMapP  = flag.String("shard-map", "", "shard.json to validate -shard against (optional but recommended)")
-		useMmap    = flag.Bool("mmap", false, "memory-map the -idx file (v2 flat format) instead of reading it into memory")
+		useMmap    = flag.Bool("mmap", false, "memory-map the -idx file (v2 flat format); zero-copy only in a -tags hopdb_unsafe binary, the default build decodes the mapping into heap memory")
 		diskLabels = flag.Int("disk-cache", 0, "label lists kept in memory by the -disk backend (0 disables)")
 		graphPath  = flag.String("graph", "", "original edge list; attaching it enables /v1/path and -bitparallel")
 		directed   = flag.Bool("directed", false, "treat -graph edges as directed")

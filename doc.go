@@ -41,14 +41,12 @@
 // same Querier contract and answers identical distances:
 //
 //	q, _ := hopdb.Open("g.idx")                                       // heap
-//	q, _ := hopdb.Open("g.idx", hopdb.WithMmap())                     // memory-mapped, zero-copy
+//	q, _ := hopdb.Open("g.idx", hopdb.WithMmap())                     // memory-mapped (zero-copy under -tags hopdb_unsafe)
 //	q, _ := hopdb.Open("g.didx", hopdb.WithDisk(hopdb.DiskOptions{})) // disk-resident
 //	q, _ := hopdb.Open("", hopdb.WithRemote("http://host:8080"))      // behind hopdb-serve
 //
 // WithGraph re-attaches the original graph (enabling Path via the Pather
-// interface) and WithBitParallel enables the Section 6 acceleration. The
-// legacy loaders (LoadIndex, LoadIndexFlat, OpenDiskIndex) remain as
-// deprecated wrappers around the same code paths.
+// interface) and WithBitParallel enables the Section 6 acceleration.
 //
 // # Label storage
 //
@@ -56,9 +54,10 @@
 // one contiguous entries array per label side addressed by per-vertex
 // offsets, frozen from the mutable slice-of-slices form when construction
 // finishes. Index.Save writes that layout verbatim (the v2 format), so
-// Open re-creates it from a single read with O(1) allocations, or
-// memory-maps it without copying the payload at all; legacy v1 files
-// still load.
+// Open re-creates it from a single read with one allocation per section,
+// and a binary built with -tags hopdb_unsafe serves it from the buffer or
+// the WithMmap mapping without copying the payload at all (the default
+// build decodes a mapped file into heap slices all the same).
 //
 // # Beyond distances
 //

@@ -3,6 +3,7 @@ package hopdb
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -24,11 +25,12 @@ func TestDistanceBatchRaceFlat(t *testing.T) {
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := LoadIndexFlat(path)
+	q, err := Open(path, WithMmap())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mapped.Close()
+	defer q.Close()
+	mapped := q.(*Index)
 
 	var pairs []QueryPair
 	for s := int32(0); s < g.N(); s += 3 {
@@ -47,41 +49,23 @@ func TestDistanceBatchRaceFlat(t *testing.T) {
 	}
 }
 
-// TestLoadIndexV1Compat checks that indexes saved in the legacy v1
-// entry-stream format still load and answer identically to the v2 flat
-// form.
-func TestLoadIndexV1Compat(t *testing.T) {
-	g, err := gen.GLP(gen.DefaultGLP(300, 3, 29))
-	if err != nil {
+// TestOpenRejectsV1 checks that a file in the first release's v1 format
+// (magic HDIX), whose reader is gone, is refused by name on both the heap
+// and the mmap path instead of failing as a malformed v2 image.
+func TestOpenRejectsV1(t *testing.T) {
+	v1 := filepath.Join(t.TempDir(), "v1.idx")
+	// magic | version 1 | flags 0 | n = 2 | two empty rows
+	if err := os.WriteFile(v1, []byte("HDIX\x01\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	idx, _, err := Build(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "v1.idx")
-	f, err := os.Create(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Labels().Write(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadIndex(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := int32(0); s < g.N(); s += 13 {
-		for u := int32(0); u < g.N(); u += 17 {
-			a, _ := idx.Distance(s, u)
-			b, _ := loaded.Distance(s, u)
-			if a != b {
-				t.Fatalf("v1-loaded index differs at (%d,%d): %d vs %d", s, u, a, b)
-			}
+	for name, opts := range map[string][]OpenOption{"heap": nil, "mmap": {WithMmap()}} {
+		q, err := Open(v1, opts...)
+		if err == nil {
+			q.Close()
+			t.Fatalf("%s: Open accepted a v1 file", name)
+		}
+		if !strings.Contains(err.Error(), "v1 index files are no longer readable") {
+			t.Errorf("%s: error does not name the v1 format: %v", name, err)
 		}
 	}
 }

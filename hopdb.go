@@ -2,7 +2,6 @@ package hopdb
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -261,10 +260,6 @@ func (x *Index) SizeBytes() int64 { return x.flat.SizeBytes() }
 // aliasing the flat arrays; mutating it corrupts the index.
 func (x *Index) Labels() *label.Index { return x.view() }
 
-// Flat exposes the CSR label representation serving queries. Treat it as
-// read-only.
-func (x *Index) Flat() *label.FlatIndex { return x.flat }
-
 // EnableBitParallel folds the top-ranked hub labels into bit-parallel
 // tuples (paper Section 6). Only undirected unweighted indexes qualify;
 // roots <= 0 selects the paper's default of 50.
@@ -296,9 +291,9 @@ func (x *Index) EnableBitParallel(roots int) error {
 //
 // Heap indexes opened through Open (and indexes returned by Build)
 // enable the compact kernel automatically when encodable; call sites
-// only need EnableCompact for mmap-backed indexes (where the packed
-// arrays cost heap memory the mmap regime was chosen to avoid, so it is
-// opt-in via WithCompactKernel) or after a manual LoadIndex. Like
+// only need EnableCompact for mmap-backed indexes, where the packed
+// arrays cost heap memory the mmap regime was chosen to avoid, so Open
+// leaves the kernel off (type-assert the Querier to *Index). Like
 // EnableBitParallel, it may be called while queries are in flight: the
 // packed kernel is published with one atomic store. When bit-parallel
 // acceleration is also enabled, it takes precedence.
@@ -312,13 +307,9 @@ func (x *Index) EnableCompact() error {
 	return nil
 }
 
-// Compact exposes the packed kernel arrays of an index with the compact
-// kernel enabled, or nil. Treat it as read-only; tooling and tests only.
-func (x *Index) Compact() *label.CompactIndex { return x.ck.Load() }
-
 // Save writes the index to path in the v2 flat binary format, whose label
-// payload is the CSR arrays verbatim (loadable with LoadIndex or
-// memory-mapped with LoadIndexFlat).
+// payload is the CSR arrays verbatim (loadable with Open, or
+// memory-mapped with Open(path, WithMmap())).
 func (x *Index) Save(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -335,8 +326,8 @@ func (x *Index) Save(path string) error {
 // SaveCompact writes the index to path in the v3 compact binary format:
 // per-row delta-coded varint entries, typically 2-4x smaller than the v2
 // flat image on scale-free graphs. A compact file is for shipping and
-// cold storage — LoadIndex and Open accept it (decoding it into memory),
-// but it cannot be memory-mapped (WithMmap needs the v2 flat layout).
+// cold storage — Open accepts it (decoding it into memory), but it
+// cannot be memory-mapped (WithMmap needs the v2 flat layout).
 func (x *Index) SaveCompact(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -350,76 +341,32 @@ func (x *Index) SaveCompact(path string) error {
 	return f.Close()
 }
 
-// LoadIndex reads an index saved with Save or SaveCompact. All three
-// formats are accepted: a v2 flat file is parsed in place from a single
-// read (O(1) allocations for the label payload), a v3 compact file is
-// delta-decoded into fresh arrays, and a legacy v1 file is streamed
-// entry-by-entry and frozen. Path reconstruction and bit-parallel
-// transformation are unavailable until the graph is re-attached with
-// AttachGraph.
-//
-// Deprecated: use Open, the backend-agnostic entry point (Open(path) is
-// the heap backend). LoadIndex remains as a thin wrapper and keeps
-// working.
-func LoadIndex(path string) (*Index, error) { return loadIndex(path) }
-
-// loadIndex is the heap loader behind Open and LoadIndex.
+// loadIndex is the heap loader behind Open: one read of the whole file,
+// then a v3 compact image is delta-decoded into fresh arrays and anything
+// else goes to label.ParseFlat, which decodes a v2 flat image (one slice
+// per section; views into the buffer under hopdb_unsafe) and names the
+// format in its error otherwise — the first release's v1 files included,
+// which are no longer readable. Path reconstruction and bit-parallel
+// transformation are unavailable until the graph is attached (WithGraph /
+// AttachGraph).
 func loadIndex(path string) (*Index, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, fmt.Errorf("hopdb: reading %s: %w", path, err)
+	var flat *label.FlatIndex
+	if label.IsCompactImage(buf) {
+		flat, err = label.ParseCompact(buf)
+	} else {
+		flat, err = label.ParseFlat(buf)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	if label.IsFlatImage(magic[:]) || label.IsCompactImage(magic[:]) {
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]byte, st.Size())
-		if _, err := io.ReadFull(f, buf); err != nil {
-			return nil, fmt.Errorf("hopdb: reading %s: %w", path, err)
-		}
-		var flat *label.FlatIndex
-		if label.IsCompactImage(buf) {
-			// v3 delta-coded image: decoded, not aliased.
-			flat, err = label.ParseCompact(buf)
-		} else {
-			flat, err = label.ParseFlat(buf)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return newIndex(flat, nil), nil
-	}
-	// Legacy v1: stream from the file rather than slurping it, so a big
-	// index is only ever resident once (as labels, not also as raw
-	// bytes).
-	x, err := label.Read(f)
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(label.Freeze(x), nil), nil
+	return newIndex(flat, nil), nil
 }
 
-// LoadIndexFlat memory-maps a v2 flat index file: the label payload is
-// never copied and loading allocates O(1) memory regardless of index
-// size. Opening scans the payload once sequentially to validate the label
-// invariants (a corrupt file fails here, not mid-query); after that the
-// OS keeps labels paged on demand. The returned index is read-only; call
-// Close to release the mapping.
-//
-// Deprecated: use Open(path, WithMmap()). LoadIndexFlat remains as a
-// thin wrapper and keeps working.
-func LoadIndexFlat(path string) (*Index, error) { return loadIndexFlat(path) }
-
-// loadIndexFlat is the mmap loader behind Open and LoadIndexFlat.
+// loadIndexFlat is the mmap loader behind Open(path, WithMmap()).
 func loadIndexFlat(path string) (*Index, error) {
 	flat, err := label.MmapFlat(path)
 	if err != nil {
@@ -428,8 +375,8 @@ func loadIndexFlat(path string) (*Index, error) {
 	return newIndex(flat, nil), nil
 }
 
-// Close releases resources held by a loaded index (the mmap backing a
-// LoadIndexFlat index). It is a no-op for built or heap-loaded indexes.
+// Close releases resources held by a loaded index (the mapping behind an
+// index opened WithMmap). It is a no-op for built or heap-loaded indexes.
 func (x *Index) Close() error { return x.flat.Close() }
 
 // AttachGraph re-associates the original graph with a loaded index,
@@ -438,26 +385,15 @@ func (x *Index) Close() error { return x.flat.Close() }
 func (x *Index) AttachGraph(g *Graph) { x.g = g }
 
 // SaveDiskIndex writes the index in the block-addressable on-disk format
-// answered by OpenDiskIndex. The cached nested view aliases the flat
-// arrays, so no label entries are copied.
+// answered by Open(path, WithDisk(opt)). The cached nested view aliases
+// the flat arrays, so no label entries are copied.
 func (x *Index) SaveDiskIndex(path string) error {
 	return diskidx.Write(path, x.view())
 }
 
-// DiskIndex answers queries directly from an on-disk index; see
-// OpenDiskIndex.
+// DiskIndex answers queries directly from an on-disk index; Open(path,
+// WithDisk(opt)) opens one and Disk reaches it behind the Querier.
 type DiskIndex = diskidx.DiskIndex
 
 // DiskOptions tunes disk-index querying.
 type DiskOptions = diskidx.Options
-
-// OpenDiskIndex opens an index written by SaveDiskIndex for querying
-// without loading the labels into memory.
-//
-// Deprecated: use Open(path, WithDisk(opt)), which serves the same file
-// through the backend-agnostic Querier contract (the underlying
-// *DiskIndex stays reachable via Disk). OpenDiskIndex remains as a thin
-// wrapper and keeps working.
-func OpenDiskIndex(path string, opt DiskOptions) (*DiskIndex, error) {
-	return diskidx.Open(path, opt)
-}

@@ -117,10 +117,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadIndex(path)
+	q, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded := q.(*Index)
 	for s := int32(0); s < g.N(); s += 13 {
 		for u := int32(0); u < g.N(); u += 17 {
 			a, _ := idx.Distance(s, u)
@@ -153,11 +154,12 @@ func TestDiskIndexThroughFacade(t *testing.T) {
 	if err := idx.SaveDiskIndex(path); err != nil {
 		t.Fatal(err)
 	}
-	d, err := OpenDiskIndex(path, DiskOptions{})
+	q, err := Open(path, WithDisk(DiskOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
+	defer q.Close()
+	d := Disk(q)
 	for s := int32(0); s < g.N(); s += 11 {
 		for u := int32(0); u < g.N(); u += 19 {
 			a, _ := idx.Distance(s, u)

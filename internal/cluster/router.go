@@ -647,8 +647,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // RouterStats is the JSON answer for the router's /v1/stats. Vertices
-// mirrors a replica's so workload tools (hopdb-bench serve) can discover
-// the id space through the router transparently.
+// mirrors a replica's so clients can discover the id space through the
+// router transparently.
 type RouterStats struct {
 	Backend  string `json:"backend"`
 	Vertices int32  `json:"vertices"`

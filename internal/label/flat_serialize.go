@@ -129,11 +129,6 @@ func (f *FlatIndex) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// IsFlatImage reports whether buf starts with the v2 flat-format magic.
-func IsFlatImage(buf []byte) bool {
-	return len(buf) >= 4 && string(buf[:4]) == flatMagic
-}
-
 // ParseFlat interprets buf as a v2 flat index image. On little-endian
 // hosts the hopdb_unsafe build returns an index whose offset and entry
 // arrays are views into buf (O(1) allocations, no copying), so buf must
@@ -149,6 +144,10 @@ func ParseFlat(buf []byte) (*FlatIndex, error) {
 			// The delta-coded v3 format must be decoded, never aliased,
 			// so it cannot serve the zero-copy/mmap path.
 			return nil, fmt.Errorf("label: %q is a compact (HDX3) image; decode it with ParseCompact (mmap is unavailable for compact files)", buf[:4])
+		}
+		if string(buf[:4]) == "HDIX" {
+			// The first release's per-vertex stream; its reader is gone.
+			return nil, fmt.Errorf("label: %q is a v1 index; v1 index files are no longer readable; rebuild with hopdb-build", buf[:4])
 		}
 		return nil, fmt.Errorf("label: bad flat magic %q", buf[:4])
 	}
@@ -241,8 +240,8 @@ func ParseFlat(buf []byte) (*FlatIndex, error) {
 	} else {
 		f.InEntries = f.OutEntries
 	}
-	// Full label validation (pivot ordering and outranking), matching the
-	// v1 reader: a corrupt-but-well-framed file must fail here with a
+	// Full label validation (pivot ordering and outranking): a
+	// corrupt-but-well-framed file must fail here with a
 	// clear error, not crash or mis-answer consumers that trust the
 	// invariants (the merge fast path, the bit-parallel transform). One
 	// sequential allocation-free scan of the payload.

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -160,8 +159,7 @@ func TestFlatLoadAllocations(t *testing.T) {
 		_ = loaded
 	})
 	// One buffer for the file image plus constant bookkeeping (file
-	// handle, stat, index struct) — far below the 400+ per-vertex slices
-	// the v1 reader needs.
+	// handle, stat, index struct), never one slice per vertex.
 	if allocs > 12 {
 		t.Errorf("LoadFlatFile allocates %v times per load, want O(1)", allocs)
 	}
@@ -221,57 +219,4 @@ func TestFlatParseRejectsCorrupt(t *testing.T) {
 		}
 		return b
 	})
-}
-
-// TestV1ReadRejectsCorrupt feeds damaged v1 files to label.Read: header
-// corruption, impossible per-vertex counts, and truncation must all fail
-// with a clear error instead of a giant allocation.
-func TestV1ReadRejectsCorrupt(t *testing.T) {
-	_, x := buildRandom(t, 60, true, false, 13)
-	if x.Perm == nil {
-		t.Fatal("builder no longer sets a permutation; section offsets below assume one")
-	}
-	var buf bytes.Buffer
-	if err := x.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	check := func(name string, mutate func(b []byte) []byte, wantSub string) {
-		b := append([]byte(nil), good...)
-		b = mutate(b)
-		_, err := label.Read(bytes.NewReader(b))
-		if err == nil {
-			t.Errorf("%s: corrupt file accepted", name)
-			return
-		}
-		if wantSub != "" && !strings.Contains(err.Error(), wantSub) {
-			t.Errorf("%s: error %q does not mention %q", name, err, wantSub)
-		}
-	}
-	check("bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, "magic")
-	check("bad version", func(b []byte) []byte { b[4] = 3; return b }, "version")
-	check("unknown flags", func(b []byte) []byte { b[5] |= 0x40; return b }, "flags")
-	check("truncated", func(b []byte) []byte { return b[:len(b)/2] }, "")
-	check("oversized count", func(b []byte) []byte {
-		// Vertex 0's count claims entries although no pivot can outrank
-		// vertex 0.
-		permBytes := 4 * int(x.N)
-		pos := 10 + permBytes
-		b[pos] = 0xff
-		return b
-	}, "claims")
-	check("huge vertex count", func(b []byte) []byte {
-		b[6], b[7], b[8], b[9] = 0xff, 0xff, 0xff, 0x7f
-		return b
-	}, "exceeds file size")
-	check("perm not a permutation", func(b []byte) []byte {
-		b[10], b[11], b[12], b[13] = b[14], b[15], b[16], b[17]
-		return b
-	}, "permutation")
-
-	// The intact file still reads.
-	if _, err := label.Read(bytes.NewReader(good)); err != nil {
-		t.Fatalf("intact file rejected: %v", err)
-	}
 }

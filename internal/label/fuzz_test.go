@@ -1,13 +1,13 @@
 package label_test
 
-// Fuzz targets for the two on-disk readers. The contract under fuzzing:
+// Fuzz targets for the on-disk readers. The contract under fuzzing:
 // arbitrary bytes either parse into an index that satisfies the label
 // invariants, or fail with a clean error — never a panic, and never an
 // allocation driven by a corrupt count rather than the input size. Run
 // continuously with
 //
 //	go test -fuzz FuzzParseFlat ./internal/label
-//	go test -fuzz FuzzReadV1 ./internal/label
+//	go test -fuzz FuzzParseCompact ./internal/label
 //
 // plain `go test` replays the seed corpus, which is built from a real
 // index image plus the corrupt-file corpus the regression tests use.
@@ -142,31 +142,6 @@ func FuzzParseCompact(f *testing.F) {
 						t.Fatalf("compact kernel diverges at (%d,%d): %d vs %d", s, u, got, want)
 					}
 				}
-			}
-		}
-	})
-}
-
-// FuzzReadV1 fuzzes the legacy v1 stream reader, whose per-vertex counts
-// historically drove allocations: corrupt counts must fail against the
-// input size, never allocate first.
-func FuzzReadV1(f *testing.F) {
-	good := fuzzImage(f, func(x *label.Index, buf *bytes.Buffer) error {
-		return x.Write(buf)
-	})
-	seedCorrupt(f, good)
-	f.Fuzz(func(t *testing.T, b []byte) {
-		x, err := label.Read(bytes.NewReader(b))
-		if err != nil {
-			return
-		}
-		if err := x.Validate(); err != nil {
-			t.Fatalf("accepted v1 file fails validation: %v", err)
-		}
-		probe := []int32{-1, 0, 1, x.N - 1, x.N, x.N + 7}
-		for _, s := range probe {
-			for _, u := range probe {
-				x.Distance(s, u)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package label
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -206,38 +205,6 @@ func TestCloneAndEqual(t *testing.T) {
 	}
 	if x.Out[2][0].Dist == 99 {
 		t.Fatal("clone shares memory with original")
-	}
-}
-
-func TestSerializeRoundTrip(t *testing.T) {
-	x := tinyIndex()
-	x.SetPerm([]int32{3, 2, 1, 0})
-	var buf bytes.Buffer
-	if err := x.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	y, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.Equal(y) {
-		t.Error("round trip changed labels")
-	}
-	for s := int32(0); s < 4; s++ {
-		for u := int32(0); u < 4; u++ {
-			if x.Distance(s, u) != y.Distance(s, u) {
-				t.Fatalf("query mismatch after round trip at (%d,%d)", s, u)
-			}
-		}
-	}
-}
-
-func TestSerializeRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("BAD!x"))); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Error("empty accepted")
 	}
 }
 

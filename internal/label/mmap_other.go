@@ -2,8 +2,8 @@
 
 package label
 
-// MmapFlat degrades to a single-read load on platforms without a mmap
-// syscall wrapper; the result is still O(1) allocations for the payload.
+// MmapFlat degrades to a single-read load (LoadFlatFile) on platforms
+// without a mmap syscall wrapper.
 func MmapFlat(path string) (*FlatIndex, error) {
 	return LoadFlatFile(path)
 }

@@ -8,12 +8,15 @@ import (
 	"syscall"
 )
 
-// MmapFlat memory-maps a v2 flat index file read-only and returns an index
-// whose label arrays alias the mapping: loading is O(1) allocations and
-// O(1) copied bytes regardless of index size. Opening scans the payload
-// once sequentially to validate the label invariants (warming the page
-// cache); after that the OS keeps labels paged on demand. Call Close to
-// unmap.
+// MmapFlat memory-maps a v2 flat index file read-only and parses the
+// mapping with ParseFlat. What that buys depends on the build. Under
+// -tags hopdb_unsafe (little-endian hosts) the label arrays alias the
+// mapping: loading is O(1) allocations and O(1) copied bytes regardless
+// of index size, and after the one sequential validation scan (which
+// warms the page cache) the OS keeps labels paged on demand. In the
+// default build ParseFlat decodes every section into a fresh heap slice,
+// so the index costs as much heap as a LoadFlatFile one and the mapping
+// is merely held until Close. Call Close to unmap.
 func MmapFlat(path string) (*FlatIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {

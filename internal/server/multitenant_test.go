@@ -106,8 +106,8 @@ func TestMultiDatasetRouting(t *testing.T) {
 }
 
 // TestLegacyAliasesByteIdentical pins the compatibility contract: the
-// unversioned, flat /v1, and /v1/default spellings of every query route
-// answer byte-identical bodies for the default dataset.
+// flat /v1 and /v1/default spellings of every query route answer
+// byte-identical bodies for the default dataset.
 func TestLegacyAliasesByteIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	suffixes := []struct {
@@ -120,7 +120,7 @@ func TestLegacyAliasesByteIdentical(t *testing.T) {
 	}
 	for _, c := range suffixes {
 		var bodies, statuses []string
-		for _, prefix := range []string{"/v1/default", "/v1", ""} {
+		for _, prefix := range []string{"/v1/default", "/v1"} {
 			var (
 				resp *http.Response
 				err  error
@@ -137,10 +137,10 @@ func TestLegacyAliasesByteIdentical(t *testing.T) {
 			bodies = append(bodies, b)
 			statuses = append(statuses, resp.Status)
 		}
-		if bodies[0] != bodies[1] || bodies[1] != bodies[2] {
+		if bodies[0] != bodies[1] {
 			t.Errorf("%s %s bodies diverge across aliases: %q", c.method, c.suffix, bodies)
 		}
-		if statuses[0] != statuses[1] || statuses[1] != statuses[2] {
+		if statuses[0] != statuses[1] {
 			t.Errorf("%s %s statuses diverge across aliases: %v", c.method, c.suffix, statuses)
 		}
 	}
@@ -450,18 +450,15 @@ func TestMethodNotAllowed(t *testing.T) {
 	addPost := func(p string) {
 		routes = append(routes, struct{ method, path, allow string }{http.MethodGet, p, "POST"})
 	}
-	for _, prefix := range []string{"/v1/default", "/v1", ""} {
+	for _, prefix := range []string{"/v1/default", "/v1"} {
 		addGet(prefix + "/distance")
 		addGet(prefix + "/path")
 		addGet(prefix + "/stats")
 		addPost(prefix + "/batch")
-	}
-	for _, prefix := range []string{"/v1/default", "/v1"} {
 		addPost(prefix + "/admin/edges")
 		addGet(prefix + "/admin/replication/log")
 	}
 	addGet("/v1/healthz")
-	addGet("/healthz")
 	addGet("/v1/metrics")
 	addGet("/v1/admin/datasets")
 	addGet("/v1/admin/accesslog")

@@ -14,8 +14,8 @@
 // drain.
 //
 // Endpoints. Query routes are dataset-scoped under /v1/{dataset}/;
-// the flat /v1/* spellings (and the unversioned paths from the first
-// release) remain as aliases for the dataset named "default":
+// the flat /v1/* spellings remain as aliases for the dataset named
+// "default":
 //
 //	GET  /v1/{ds}/distance?s=1&t=2 -> {"s":1,"t":2,"distance":3,"reachable":true}
 //	                             {"s":1,"t":9,"reachable":false}         (unreachable: distance omitted)
@@ -280,10 +280,9 @@ func (s *Server) buildHandler() http.Handler {
 	}
 
 	mux := http.NewServeMux()
-	// The query surface, dataset-scoped — plus the flat /v1 spellings
-	// and the unversioned aliases the first release shipped, both
+	// The query surface, dataset-scoped — plus the flat /v1 spellings,
 	// resolving the "default" dataset through the same handlers, so the
-	// three stay byte-identical.
+	// two stay byte-identical.
 	distance := qt(s.dsRoute(ScopeRead, s.handleDistance, http.MethodGet))
 	batch := qt(s.dsRoute(ScopeRead, s.handleBatch, http.MethodPost))
 	path := qt(s.dsRoute(ScopeRead, s.handlePath, http.MethodGet))
@@ -313,31 +312,23 @@ func (s *Server) buildHandler() http.Handler {
 		defer release()
 		s.handleStats(st, w, r)
 	}))
-	for _, p := range []string{"/v1/{dataset}", "/v1", ""} {
+	// Row fetches: the scatter-gather primitive of sharded serving.
+	rows := qt(s.dsRoute(ScopeRead, s.handleRows, http.MethodPost))
+	// The dataset admin surface: edges and the replication log are
+	// dataset-scoped (flat /v1/admin/* aliases the default dataset).
+	adminEdges := at(s.dsRoute(ScopeWrite, s.handleAdminEdges, http.MethodPost))
+	replLog := at(s.dsRoute(ScopeWrite, s.handleReplicationLog, http.MethodGet))
+	for _, p := range []string{"/v1/{dataset}", "/v1"} {
 		mux.Handle(p+"/distance", distance)
 		mux.Handle(p+"/batch", batch)
 		mux.Handle(p+"/path", path)
 		mux.Handle(p+"/stats", stats)
-	}
-	for _, p := range []string{"/v1", ""} {
-		mux.HandleFunc(p+"/healthz", s.handleHealthz)
-	}
-	// Row fetches: the scatter-gather primitive of sharded serving
-	// (post-dates the unversioned aliases, so no "" spelling is owed).
-	rows := qt(s.dsRoute(ScopeRead, s.handleRows, http.MethodPost))
-	for _, p := range []string{"/v1/{dataset}", "/v1"} {
 		mux.Handle(p+"/rows", rows)
-	}
-	// The dataset admin surface: edges and the replication log are
-	// dataset-scoped (flat /v1/admin/* aliases the default dataset; no
-	// unversioned spellings are owed — the surface post-dates them).
-	adminEdges := at(s.dsRoute(ScopeWrite, s.handleAdminEdges, http.MethodPost))
-	replLog := at(s.dsRoute(ScopeWrite, s.handleReplicationLog, http.MethodGet))
-	for _, p := range []string{"/v1/{dataset}", "/v1"} {
 		mux.Handle(p+"/admin/edges", adminEdges)
 		mux.Handle(p+"/admin/replication/log", replLog)
 	}
 	// The registry admin surface and observability.
+	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.Handle("/v1/admin/datasets", at(http.HandlerFunc(s.handleDatasets)))
 	mux.Handle("/v1/admin/datasets/{name}", at(http.HandlerFunc(s.handleDatasetByName)))
 	mux.Handle("/v1/admin/accesslog", at(http.HandlerFunc(s.handleAccessLog)))
@@ -370,7 +361,7 @@ func (s *Server) buildHandler() http.Handler {
 
 // dsRoute adapts a dataset-scoped handler into an http.HandlerFunc:
 // method check (405 + Allow), dataset resolution ({dataset} path value;
-// absent on the legacy aliases, meaning "default"), access-log
+// absent on the flat /v1 spellings, meaning "default"), access-log
 // annotation, and — when scope is non-empty — authorization.
 func (s *Server) dsRoute(scope string, h func(*dsState, http.ResponseWriter, *http.Request), methods ...string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {

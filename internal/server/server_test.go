@@ -76,7 +76,7 @@ func TestDistanceEndpoint(t *testing.T) {
 		{"s=-1&t=2", 200, `{"s":-1,"t":2,"reachable":false}` + "\n"},
 	}
 	for _, c := range cases {
-		status, body := get(t, ts.URL+"/distance?"+c.query)
+		status, body := get(t, ts.URL+"/v1/distance?"+c.query)
 		if status != c.status || body != c.body {
 			t.Errorf("GET /distance?%s = %d %q, want %d %q", c.query, status, body, c.status, c.body)
 		}
@@ -86,7 +86,7 @@ func TestDistanceEndpoint(t *testing.T) {
 func TestDistanceBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, q := range []string{"", "s=1", "t=1", "s=abc&t=1", "s=1&t=1e3", "s=99999999999&t=1"} {
-		status, body := get(t, ts.URL+"/distance?"+q)
+		status, body := get(t, ts.URL+"/v1/distance?"+q)
 		if status != http.StatusBadRequest {
 			t.Errorf("GET /distance?%s = %d %q, want 400", q, status, body)
 		}
@@ -95,7 +95,7 @@ func TestDistanceBadRequests(t *testing.T) {
 			t.Errorf("GET /distance?%s error body %q not {\"error\":...}", q, body)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/distance?s=0&t=1", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/v1/distance?s=0&t=1", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestBatchEndpoint(t *testing.T) {
 	body, _ := json.Marshal(pairs)
 	// Run twice so the second pass is served from the cache.
 	for round := 0; round < 2; round++ {
-		resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(string(body)))
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(string(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestBatchEndpoint(t *testing.T) {
 func TestBatchRejections(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatch: 3})
 	post := func(body string) int {
-		resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestBatchRejections(t *testing.T) {
 	if code := post(`[[0,1]`); code != http.StatusBadRequest {
 		t.Errorf("truncated JSON = %d, want 400", code)
 	}
-	resp, err := http.Get(ts.URL + "/batch")
+	resp, err := http.Get(ts.URL + "/v1/batch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestBatchEmpty(t *testing.T) {
 	// Twice: the first request hits a fresh pooled context (nil results
 	// backing array), the second a recycled one. Both must answer [].
 	for i := 0; i < 2; i++ {
-		resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(`[]`))
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(`[]`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestBatchOversizedBody(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatch: 4})
 	// Far more bytes than 4 pairs can need: the body cap fires.
 	huge := "[" + strings.Repeat("[1000000,1000000],", 500) + "[0,1]]"
-	resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(huge))
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestBatchOversizedBody(t *testing.T) {
 
 func TestPathEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	status, body := get(t, ts.URL+"/path?s=0&t=3")
+	status, body := get(t, ts.URL+"/v1/path?s=0&t=3")
 	if status != 200 {
 		t.Fatalf("GET /path?s=0&t=3 = %d %q", status, body)
 	}
@@ -224,10 +224,10 @@ func TestPathEndpoint(t *testing.T) {
 	if pr.Distance != 3 || len(pr.Path) != 4 || pr.Path[0] != 0 || pr.Path[3] != 3 {
 		t.Fatalf("path result %+v, want distance 3 over [0 1 2 3]", pr)
 	}
-	if status, _ := get(t, ts.URL+"/path?s=0&t=5"); status != http.StatusNotFound {
+	if status, _ := get(t, ts.URL+"/v1/path?s=0&t=5"); status != http.StatusNotFound {
 		t.Errorf("unreachable path = %d, want 404", status)
 	}
-	if status, _ := get(t, ts.URL+"/path?s=0&t=zzz"); status != http.StatusBadRequest {
+	if status, _ := get(t, ts.URL+"/v1/path?s=0&t=zzz"); status != http.StatusBadRequest {
 		t.Errorf("bad param path = %d, want 400", status)
 	}
 }
@@ -238,31 +238,31 @@ func TestPathWithoutGraph(t *testing.T) {
 	if err := idx.Save(file); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := hopdb.LoadIndex(file)
+	loaded, err := hopdb.Open(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(New(loaded, Config{}).Handler())
 	defer ts.Close()
-	status, _ := get(t, ts.URL+"/path?s=0&t=3")
+	status, _ := get(t, ts.URL+"/v1/path?s=0&t=3")
 	if status != http.StatusNotImplemented {
 		t.Errorf("/path without graph = %d, want 501", status)
 	}
 	// Distance still works on the graph-less index.
-	if status, body := get(t, ts.URL+"/distance?s=0&t=3"); status != 200 || !strings.Contains(body, `"distance":3`) {
+	if status, body := get(t, ts.URL+"/v1/distance?s=0&t=3"); status != 200 || !strings.Contains(body, `"distance":3`) {
 		t.Errorf("/distance on loaded index = %d %q", status, body)
 	}
 }
 
 func TestHealthzAndStats(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheEntries: 32})
-	status, body := get(t, ts.URL+"/healthz")
+	status, body := get(t, ts.URL+"/v1/healthz")
 	if status != 200 || body != `{"status":"ok"}`+"\n" {
 		t.Fatalf("/healthz = %d %q", status, body)
 	}
-	get(t, ts.URL+"/distance?s=0&t=3")
-	get(t, ts.URL+"/distance?s=0&t=3")
-	status, body = get(t, ts.URL+"/stats")
+	get(t, ts.URL+"/v1/distance?s=0&t=3")
+	get(t, ts.URL+"/v1/distance?s=0&t=3")
+	status, body = get(t, ts.URL+"/v1/stats")
 	if status != 200 {
 		t.Fatalf("/stats = %d", status)
 	}
@@ -293,7 +293,7 @@ func TestConcurrentClients(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				sv, tv := int32(rng.Intn(6)), int32(rng.Intn(6))
 				if i%2 == 0 {
-					resp, err := client.Get(fmt.Sprintf("%s/distance?s=%d&t=%d", ts.URL, sv, tv))
+					resp, err := client.Get(fmt.Sprintf("%s/v1/distance?s=%d&t=%d", ts.URL, sv, tv))
 					if err != nil {
 						t.Error(err)
 						return
@@ -312,7 +312,7 @@ func TestConcurrentClients(t *testing.T) {
 					}
 				} else {
 					body := fmt.Sprintf(`[[%d,%d],[%d,%d]]`, sv, tv, tv, sv)
-					resp, err := client.Post(ts.URL+"/batch", "application/json", strings.NewReader(body))
+					resp, err := client.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
 					if err != nil {
 						t.Error(err)
 						return
@@ -336,28 +336,34 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
-// TestV1RouteAliases checks the legacy unversioned routes answer
-// byte-identically to the versioned /v1 surface.
+// TestV1RouteAliases pins what is left of the first release's route
+// aliases: the unversioned spellings are gone (404) while the /v1
+// spellings of the same routes answer as before.
 func TestV1RouteAliases(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, route := range []string{"/distance?s=0&t=3", "/distance?s=0&t=4", "/healthz"} {
-		status1, body1 := get(t, ts.URL+"/v1"+route)
-		status2, body2 := get(t, ts.URL+route)
-		if status1 != status2 || body1 != body2 {
-			t.Errorf("route %s: /v1 answers %d %q, legacy answers %d %q",
-				route, status1, body1, status2, body2)
-		}
-	}
-	// Batch via both prefixes.
-	for _, prefix := range []string{"", "/v1"} {
-		resp, err := http.Post(ts.URL+prefix+"/batch", "application/json", strings.NewReader(`[[0,3]]`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 || !strings.Contains(string(body), `"distance":3`) {
-			t.Errorf("%s/batch = %d %q", prefix, resp.StatusCode, body)
+	for _, c := range []struct{ method, route, body, want string }{
+		{http.MethodGet, "/distance?s=0&t=3", "", `"distance":3`},
+		{http.MethodPost, "/batch", `[[0,3]]`, `"distance":3`},
+		{http.MethodGet, "/path?s=0&t=3", "", `"path":[0,1,2,3]`},
+		{http.MethodGet, "/healthz", "", `"status":"ok"`},
+		{http.MethodGet, "/stats", "", `"backend":"heap"`},
+	} {
+		for prefix, wantStatus := range map[string]int{"": http.StatusNotFound, "/v1": http.StatusOK} {
+			req, err := http.NewRequest(c.method, ts.URL+prefix+c.route, strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := readBody(t, resp)
+			if resp.StatusCode != wantStatus {
+				t.Errorf("%s %s%s = %d %q, want %d", c.method, prefix, c.route, resp.StatusCode, body, wantStatus)
+			}
+			if wantStatus == http.StatusOK && !strings.Contains(body, c.want) {
+				t.Errorf("%s %s%s = %q, want it to contain %s", c.method, prefix, c.route, body, c.want)
+			}
 		}
 	}
 }

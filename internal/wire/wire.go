@@ -255,8 +255,8 @@ const (
 	// 503 so routers and retrying clients move on to a caught-up replica.
 	HeaderMinSeq = "X-Hopdb-Min-Seq"
 	// HeaderNoHedge, on a request to hopdb-router, disables hedged
-	// requests for that request (used by hopdb-bench serve -hedge to
-	// measure tail latency with hedging on and off).
+	// requests for that request (the control arm when measuring tail
+	// latency with hedging on and off).
 	HeaderNoHedge = "X-Hopdb-No-Hedge"
 	// HeaderRequestID carries the request id: generated at the first tier
 	// that sees a request without one, echoed on every response, and

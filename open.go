@@ -27,12 +27,15 @@ type openConfig struct {
 	token     string
 	updates   bool
 	updateOpt UpdateOptions
-	compact   bool
 }
 
 // WithMmap memory-maps the index file (v2 flat format) instead of
-// reading it into memory: loading is O(1) allocations and the OS pages
-// labels on demand. The backend kind is BackendMmap.
+// reading it. Only a binary built with -tags hopdb_unsafe serves labels
+// from the mapping itself (O(1) allocations at load, pages faulted in on
+// demand); the default build decodes the mapped sections into heap
+// slices, so it retains as much heap as a plain Open and differs from it
+// only in leaving the compact kernel off. The backend kind is BackendMmap
+// in both builds.
 func WithMmap() OpenOption {
 	return func(c *openConfig) { c.mmap = true }
 }
@@ -44,20 +47,6 @@ func WithMmap() OpenOption {
 // with WithGraph or WithBitParallel is an error.
 func WithDisk(opt DiskOptions) OpenOption {
 	return func(c *openConfig) { c.disk = true; c.diskOpt = opt }
-}
-
-// WithCompactKernel packs the labels into the branch-free compact query
-// kernel after loading (EnableCompact), failing Open when the labels are
-// not encodable (a distance beyond 8 bits or more than ~16.7M vertices).
-// Heap-backed opens enable the kernel automatically when encodable, so
-// the option exists for two reasons: to make encodability a hard
-// requirement rather than a silent fallback, and to opt an mmap-backed
-// index in (the packed keys are heap arrays, so by default WithMmap
-// keeps the zero-copy scalar kernel). Incompatible with WithDisk,
-// WithRemote(s), and WithUpdates, which never query through the in-
-// process kernels.
-func WithCompactKernel() OpenOption {
-	return func(c *openConfig) { c.compact = true }
 }
 
 // WithGraph attaches the original graph to the opened index, enabling
@@ -132,14 +121,13 @@ func WithUpdates(opt UpdateOptions) OpenOption {
 // whatever regime it should serve from:
 //
 //	q, err := hopdb.Open("graph.idx")                          // heap
-//	q, err := hopdb.Open("graph.idx", hopdb.WithMmap())        // mmap, zero-copy
+//	q, err := hopdb.Open("graph.idx", hopdb.WithMmap())        // mmap (zero-copy under -tags hopdb_unsafe)
 //	q, err := hopdb.Open("graph.didx", hopdb.WithDisk(hopdb.DiskOptions{}))
 //	q, err := hopdb.Open("", hopdb.WithRemote("http://host:8080"))
 //
 // All backends answer identical distances through the Querier contract;
 // they differ only in where the labels live. Close the returned Querier
-// when done. It replaces the LoadIndex / LoadIndexFlat / OpenDiskIndex
-// trio, which remain as deprecated wrappers.
+// when done.
 func Open(path string, opts ...OpenOption) (Querier, error) {
 	var cfg openConfig
 	for _, o := range opts {
@@ -149,7 +137,7 @@ func Open(path string, opts ...OpenOption) (Querier, error) {
 		if path != "" {
 			return nil, fmt.Errorf("hopdb: Open: path must be empty with WithRemote(s), got %q", path)
 		}
-		if cfg.mmap || cfg.disk || cfg.graph != nil || cfg.bp || cfg.updates || cfg.compact {
+		if cfg.mmap || cfg.disk || cfg.graph != nil || cfg.bp || cfg.updates {
 			return nil, fmt.Errorf("hopdb: Open: WithRemote(s) cannot be combined with local-backend options")
 		}
 		return client.NewMulti(cfg.remotes, client.Options{
@@ -164,9 +152,6 @@ func Open(path string, opts ...OpenOption) (Querier, error) {
 	if cfg.updates {
 		if cfg.mmap || cfg.disk {
 			return nil, fmt.Errorf("hopdb: Open: WithUpdates needs heap labels; it cannot be combined with WithMmap or WithDisk")
-		}
-		if cfg.compact {
-			return nil, fmt.Errorf("hopdb: Open: WithUpdates cannot be combined with WithCompactKernel (updates republish label epochs that the packed image would shadow)")
 		}
 		if cfg.bp {
 			return nil, fmt.Errorf("hopdb: Open: WithUpdates cannot be combined with WithBitParallel (the bit-parallel image would go stale)")
@@ -199,8 +184,8 @@ func Open(path string, opts ...OpenOption) (Querier, error) {
 		if cfg.mmap {
 			return nil, fmt.Errorf("hopdb: Open: WithDisk and WithMmap are mutually exclusive")
 		}
-		if cfg.graph != nil || cfg.bp || cfg.compact {
-			return nil, fmt.Errorf("hopdb: Open: the disk backend answers distances only; WithGraph/WithBitParallel/WithCompactKernel need an in-memory index")
+		if cfg.graph != nil || cfg.bp {
+			return nil, fmt.Errorf("hopdb: Open: the disk backend answers distances only; WithGraph/WithBitParallel need an in-memory index")
 		}
 		d, err := diskidx.Open(path, cfg.diskOpt)
 		if err != nil {
@@ -223,18 +208,13 @@ func Open(path string, opts ...OpenOption) (Querier, error) {
 	if cfg.graph != nil {
 		idx.AttachGraph(cfg.graph)
 	}
-	if cfg.compact {
-		// Explicit opt-in: encodability is a requirement, not a hint.
-		if err := idx.EnableCompact(); err != nil {
-			idx.Close()
-			return nil, err
-		}
-	} else if !cfg.mmap {
+	if !cfg.mmap {
 		// Heap-backed opens get the packed kernel automatically when the
 		// labels are encodable; otherwise queries stay on the scalar
-		// kernel with identical answers. Mmap stays scalar by default:
-		// the packed keys are heap arrays, which would defeat the
-		// O(1)-allocation point of mapping the file.
+		// kernel with identical answers. Mmap stays scalar: the packed
+		// keys are heap arrays, which would defeat the point of mapping
+		// the file (a caller that wants them calls EnableCompact on the
+		// *Index).
 		_ = idx.EnableCompact()
 	}
 	if cfg.bp {

@@ -38,7 +38,7 @@ const (
 	// KernelScalar is the portable merge-join over 8-byte label entries.
 	KernelScalar = wire.KernelScalar
 	// KernelCompact is the branch-free merge over packed 4-byte keys
-	// (EnableCompact / WithCompactKernel).
+	// (Index.EnableCompact; automatic on Build and heap opens).
 	KernelCompact = wire.KernelCompact
 	// KernelBitParallel answers from the bit-parallel hub tuples
 	// (EnableBitParallel / WithBitParallel).

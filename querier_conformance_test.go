@@ -141,11 +141,16 @@ func openBackends(t *testing.T, g *hopdb.Graph, gc confGraph) []confBackend {
 	}
 	// The conformance graphs are all encodable (small distances), so heap
 	// opens — including the one behind the remote server — auto-enable the
-	// compact kernel; mmap stays scalar unless opted in.
+	// compact kernel; mmap stays scalar unless EnableCompact is called on
+	// the opened *Index.
+	mmapCompact := open("mmap-compact", hopdb.BackendMmap, hopdb.KernelCompact, idxPath, hopdb.WithMmap())
+	if err := mmapCompact.querier.(*hopdb.Index).EnableCompact(); err != nil {
+		t.Fatalf("EnableCompact on the mmap backend: %v", err)
+	}
 	backends := []confBackend{
 		open("heap", hopdb.BackendHeap, hopdb.KernelCompact, idxPath),
 		open("mmap", hopdb.BackendMmap, hopdb.KernelScalar, idxPath, hopdb.WithMmap()),
-		open("mmap-compact", hopdb.BackendMmap, hopdb.KernelCompact, idxPath, hopdb.WithMmap(), hopdb.WithCompactKernel()),
+		mmapCompact,
 		open("compact-file", hopdb.BackendHeap, hopdb.KernelCompact, compactPath),
 		open("disk", hopdb.BackendDisk, hopdb.KernelScalar, diskPath, hopdb.WithDisk(hopdb.DiskOptions{CacheLabels: 16})),
 		open("remote", hopdb.BackendRemote, hopdb.KernelCompact, "", hopdb.WithRemote(ts.URL)),

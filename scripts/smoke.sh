@@ -2,7 +2,7 @@
 # End-to-end serving smoke test: generate a synthetic graph, build its
 # index in both formats, start hopdb-serve (heap, then -disk), and check
 # that /v1/distance and /v1/batch answer exactly what hopdb-query answers
-# on the same index — and that the legacy unversioned routes alias /v1.
+# on the same index.
 # Then the cluster stage: a primary + two pull replicas behind
 # hopdb-router, an update applied through the router's admin proxy,
 # replication convergence, read-your-writes through the router, and a
@@ -109,10 +109,8 @@ while read -r s t; do
 done <"$tmp/pairs.txt" >"$tmp/served.jsonl"
 diff -u "$tmp/expected.jsonl" "$tmp/served.jsonl" || { echo "/v1/distance answers diverge from hopdb-query" >&2; exit 1; }
 
-echo "== checking the legacy route aliases /v1"
-curl -fsS "$BASE/distance?s=3&t=9" >"$tmp/legacy.json"
+# The single-tenant answer the multi-tenant stage below is diffed against.
 curl -fsS "$BASE/v1/distance?s=3&t=9" >"$tmp/versioned.json"
-diff -u "$tmp/legacy.json" "$tmp/versioned.json" || { echo "legacy /distance diverges from /v1/distance" >&2; exit 1; }
 
 echo "== cross-checking POST /v1/batch"
 awk 'BEGIN { printf("[") } { printf("%s[%s,%s]", NR == 1 ? "" : ",", $1, $2) } END { printf("]") }' "$tmp/pairs.txt" >"$tmp/batch.json"
@@ -271,10 +269,6 @@ diff -u "$tmp/expected2.jsonl" "$tmp/served_router_degraded.jsonl" || { echo "ro
 echo "== metrics expositions"
 curl -fsS "$ROUTER/v1/metrics" | grep -q '^hopdb_router_up 1' || { echo "router /v1/metrics missing hopdb_router_up" >&2; exit 1; }
 curl -fsS "$PRIMARY/v1/metrics" | grep -q '^hopdb_queries_total ' || { echo "primary /v1/metrics missing hopdb_queries_total" >&2; exit 1; }
-
-echo "== hedging A/B through hopdb-bench serve -hedge"
-"$tmp/bin/hopdb-bench" -url "$ROUTER" -requests 200 -conc 4 -hedge serve | tee "$tmp/hedge.txt"
-grep -q 'p99 delta with hedging' "$tmp/hedge.txt" || { echo "hedge comparison output missing" >&2; exit 1; }
 
 echo "== shards: cutting the index into 4 rank shards plus a hub tier"
 "$tmp/bin/hopdb-build" -in "$tmp/g.txt" -shards 4 -shard-dir "$tmp/shards"
