@@ -227,7 +227,8 @@ func TestUpdateCLI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hopdb-update: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "applied 2 ops") || !strings.Contains(string(out), "1 inserts, 1 deletes") {
+	if !strings.Contains(string(out), "applied 2 ops") || !strings.Contains(string(out), "1 inserts, 1 deletes") ||
+		!strings.Contains(string(out), "overlay ") || !strings.Contains(string(out), " compactions") {
 		t.Errorf("update output unexpected:\n%s", out)
 	}
 

@@ -70,8 +70,9 @@ func main() {
 		fail(fmt.Errorf("applied %d/%d ops, then: %w", applied, len(ops), err))
 	}
 	st := u.UpdateStats()
-	fmt.Printf("applied %d ops: %d inserts, %d deletes, %d no-ops (%d partial repairs, %d full rebuilds, staleness %.3f)\n",
-		applied, st.Inserts, st.Deletes, st.NoOps, st.PartialRepairs, st.FullRebuilds, st.Staleness)
+	fmt.Printf("applied %d ops: %d inserts, %d deletes, %d no-ops (%d partial repairs, %d full rebuilds, staleness %.3f; overlay %d rows / %d entries, %d compactions)\n",
+		applied, st.Inserts, st.Deletes, st.NoOps, st.PartialRepairs, st.FullRebuilds, st.Staleness,
+		st.OverlayRows, st.OverlayEntries, st.Compactions)
 
 	if err := u.Save(*outPath); err != nil {
 		fail(err)

@@ -8,8 +8,9 @@ import (
 
 // lockscopeMarker annotates mutex fields whose critical sections must
 // stay small and purely computational: the registry's attach/detach
-// lock, the per-dataset admin lock, and the disk index's cache lock all
-// sit on (or next to) the serving path, where an I/O call or a blocking
+// lock, the per-dataset admin lock, the disk index's cache lock, and the
+// dynamic engine's writer lock (Path and Stats take it) all sit on (or
+// next to) the serving path, where an I/O call or a blocking
 // channel op under the lock stalls every reader behind it.
 const lockscopeMarker = "//hopdb:lockscope"
 

@@ -13,9 +13,10 @@ const (
 	taintNone taintKind = iota
 	// taintReadonly marks slices aliasing a published label epoch or a
 	// read-only mmap region (label.FlatIndex / label.CompactIndex
-	// arrays): writing through them is a data race on heap indexes and
-	// a SIGSEGV on mapped ones, and retaining them can outlive the
-	// epoch or the mapping.
+	// arrays, and the rows a dynamic.Epoch resolves to): writing
+	// through them is a data race on heap indexes and a SIGSEGV on
+	// mapped ones, and retaining them can outlive the epoch or the
+	// mapping.
 	taintReadonly
 	// taintScratch marks slices backed by per-worker scratch buffers
 	// (diskidx.Scratch): the next query overwrites them, so retaining
@@ -49,12 +50,14 @@ type NoaliasConfig struct {
 }
 
 // DefaultNoaliasConfig covers the repository's real aliasing sources:
-// the CSR label arrays that may be mmap-backed (PR 1/7) and the disk
-// index's per-worker decode buffers (PR 3).
+// the CSR label arrays that may be mmap-backed (PR 1/7), the rows of a
+// published update epoch — base or overlay, a reader cannot tell which —
+// and the disk index's per-worker decode buffers (PR 3).
 var DefaultNoaliasConfig = NoaliasConfig{
 	Readonly: []TypeRef{
 		{"repro/internal/label", "FlatIndex"},
 		{"repro/internal/label", "CompactIndex"},
+		{"repro/internal/dynamic", "Epoch"},
 	},
 	Scratch: []TypeRef{
 		{"repro/internal/diskidx", "Scratch"},
@@ -72,11 +75,11 @@ var DefaultNoaliasConfig = NoaliasConfig{
 // selecting a slice field from a configured container type (or calling
 // one of its slice-returning methods) taints the result, taint follows
 // assignments, slicing, and indexing, and four shapes are violations —
-// writing an element of (or copy/append-ing into) readonly-tainted
-// memory, storing any tainted slice into a struct field, map, slice, or
-// composite literal, sending one down a channel, passing one to a
-// cache-insertion sink, and returning a scratch-tainted slice from an
-// exported function. Containers the function itself constructs with a
+// writing an element of (or a field of an element of, or
+// copy/append-ing into) readonly-tainted memory, storing any tainted
+// slice into a struct field, map, slice, or composite literal, sending
+// one down a channel, passing one to a cache-insertion sink, and
+// returning a scratch-tainted slice from an exported function. Containers the function itself constructs with a
 // composite literal are exempt: until published they are owned memory.
 var Noaliasretain = NewNoaliasretain(DefaultNoaliasConfig)
 
@@ -273,8 +276,21 @@ func (sc *aliasScope) reportViolations(fd *ast.FuncDecl) {
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
 				lhs := ast.Unparen(lhs)
-				// Writing an element of readonly memory.
-				if ix, ok := lhs.(*ast.IndexExpr); ok {
+				// Writing an element of readonly memory, whole
+				// (row[i] = e) or by field (row[i].Dist = d); a field
+				// reached through a pointer lives elsewhere.
+				target := lhs
+				for {
+					sel, ok := target.(*ast.SelectorExpr)
+					if !ok || selectedField(sc.pass, sel) == nil {
+						break
+					}
+					if _, ptr := types.Unalias(sc.pass.TypesInfo.TypeOf(sel.X)).Underlying().(*types.Pointer); ptr {
+						break
+					}
+					target = ast.Unparen(sel.X)
+				}
+				if ix, ok := target.(*ast.IndexExpr); ok {
 					if k := sc.taintOf(ix.X); k == taintReadonly {
 						sc.pass.Reportf(ix.Pos(),
 							"write into %s slice %s: published label arrays are immutable (a write is a race on heap indexes and a SIGSEGV on mmap)",

@@ -1,10 +1,14 @@
 // Package noaliasretain is the golden fixture for the noaliasretain
-// analyzer. The readonly cases run against the real label.FlatIndex
-// type from the default configuration; the scratch and sink cases use
-// the fixture-local types the test registers alongside the defaults.
+// analyzer. The readonly cases run against the real label.FlatIndex and
+// dynamic.Epoch types from the default configuration; the scratch and
+// sink cases use the fixture-local types the test registers alongside
+// the defaults.
 package noaliasretain
 
-import "repro/internal/label"
+import (
+	"repro/internal/dynamic"
+	"repro/internal/label"
+)
 
 type holder struct {
 	entries []label.Entry
@@ -36,6 +40,38 @@ func writeBad(f *label.FlatIndex, v int32) {
 
 func writeField(f *label.FlatIndex) {
 	f.OutEntries[0] = label.Entry{} // want "write into mmap/epoch-aliasing slice f.OutEntries"
+}
+
+func writeElemField(f *label.FlatIndex, v int32) {
+	out := f.Out(v)
+	out[0].Dist = 7 // want "write into mmap/epoch-aliasing slice out"
+}
+
+// epochWriteBad patches rows resolved from a published epoch in place —
+// what label.Insert and label.RemovePivots do to their argument. The
+// row is the base's or a shared overlay row; either way readers of this
+// and earlier epochs are merging over it. The maintenance engine clones
+// the row first (Epoch.own) and only ever writes the clone.
+func epochWriteBad(e *dynamic.Epoch, v int32, drop []bool) {
+	row := e.In(v)
+	row[0].Dist = 1 // want "write into mmap/epoch-aliasing slice row"
+	kept := e.Out(v)[:0]
+	for _, x := range e.Out(v) {
+		if !drop[x.Pivot] {
+			kept = append(kept, x) // want "append into mmap/epoch-aliasing slice kept"
+		}
+	}
+}
+
+func epochRetainBad(h *holder, e *dynamic.Epoch, v int32) {
+	h.entries = e.Out(v) // want "stored in a field or collection"
+}
+
+// epochCloneOK is the own step: a fresh copy may be written and kept.
+func epochCloneOK(h *holder, e *dynamic.Epoch, v int32) {
+	row := append([]label.Entry(nil), e.Out(v)...)
+	row[0].Dist = 1
+	h.entries = row
 }
 
 func retainBad(h *holder, f *label.FlatIndex, v int32) {

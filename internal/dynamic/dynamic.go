@@ -5,12 +5,25 @@
 // affected label roots with a bounded partial rebuild, falling back to
 // full reconstruction past a configurable staleness threshold.
 //
-// The index keeps two representations: a private mutable slice-of-slices
-// working copy that maintenance mutates under a writer lock, and an
-// immutable flat CSR snapshot published through an atomic pointer after
-// every effective mutation. Readers load the pointer once per query (or
-// once per batch) and never block; a reader that started on an old epoch
-// simply answers from the graph as it was before the mutation.
+// The index keeps one persistent representation. A published Epoch is an
+// immutable base CSR (label.FlatIndex) plus a copy-on-write overlay of
+// the rows replaced since that base was cut: per label side a page table
+// with one pointer per 64 ranks, nil for a page without a replaced row.
+// Readers load the epoch pointer once per query (or once per batch),
+// test one page pointer per side, and otherwise run the ordinary
+// merge-join over the base rows; they never block, and a reader that
+// started on an old epoch simply answers from the graph as it was before
+// the mutation. The writer holds no second copy of the labels: under the
+// writer lock a mutation forks the current epoch (copying only the page
+// tables), reads rows through the same resolver, and clones a page and a
+// row the first time it writes one, so an update costs the rows it
+// changes plus n/64 words, independent of the index size, and a
+// published row is never written again. Once the overlay exceeds a fixed
+// quarter of the base, the writer folds it into a fresh base inline
+// (O(index), amortised over the overlay growth that triggered it); a
+// staleness rebuild installs its result as a new base with an empty
+// overlay. Epoch.Flat materialises a plain CSR on demand, which is what
+// Save writes.
 //
 // Correctness model: after an insertion, labels may retain entries whose
 // distances are no longer minimal label-wise, but every entry is an exact
@@ -28,6 +41,7 @@ package dynamic
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -105,14 +119,21 @@ type Options struct {
 // whole — readers observe either the pre- or the post-update graph,
 // never a mixture.
 type Index struct {
+	// mu is the writer lock. Path and Stats take it from the serving
+	// path, so its critical sections stay computational.
+	//hopdb:lockscope
 	mu  sync.Mutex
 	opt Options
 	// cur is the published epoch: readers Load it lock-free, the writer
-	// Stores a fresh immutable FlatIndex after each batch.
+	// Stores the next immutable Epoch after each effective mutation.
 	//hopdb:atomic
-	cur atomic.Pointer[label.FlatIndex]
+	cur atomic.Pointer[Epoch]
+	// next is the epoch under construction — a fork of cur the running
+	// mutation writes through — and gen numbers the forks; nil between
+	// mutations. Guarded by mu.
+	next *Epoch
+	gen  uint64
 
-	workIdx   *label.Index // private mutable labels, rank space
 	g         *mutGraph
 	perm, inv []int32
 	n         int32
@@ -126,11 +147,14 @@ type Index struct {
 	drop         []bool
 	distA, distB []uint32
 	pq           spQueue
+	batch        []rootSeed
+	seeds        []seed
 
 	// Counters behind the lock; snapshot with Stats.
 	inserts, deletes, noops      int64
 	partialRepairs, fullRebuilds int64
 	dirtyVertices                int64
+	compactions                  int64
 	anomalies                    int64
 
 	// epoch and seq are written under the lock but read lock-free by
@@ -140,17 +164,19 @@ type Index struct {
 	// mutation).
 	epoch, seq atomic.Int64
 
-	// journal holds the effective mutations with journalStart < op.Seq
-	// <= seq, oldest first, capped at opt.JournalLimit; guarded by mu.
+	// journal[journalHead:] holds the effective mutations with
+	// journalStart < op.Seq <= seq, oldest first, capped at
+	// opt.JournalLimit; the prefix before journalHead is trimmed ops
+	// awaiting reclamation (see journalAppend). Guarded by mu.
 	journal      []wire.SeqEdgeOp
+	journalHead  int
 	journalStart int64
 }
 
 // New wraps a frozen label index and its graph in a dynamic index. flat
 // and g must describe the same graph (vertex count, directedness,
-// weightedness); the labels are deep-copied into a private working set,
-// so flat remains valid and immutable, and is served unchanged as the
-// initial epoch.
+// weightedness). No label entry is copied: flat becomes the base of the
+// initial epoch and must stay immutable, as every FlatIndex already is.
 func New(flat *label.FlatIndex, g *graph.Graph, opt Options) (*Index, error) {
 	if flat.N != g.N() {
 		return nil, fmt.Errorf("dynamic: index has %d vertices, graph has %d", flat.N, g.N())
@@ -165,14 +191,10 @@ func New(flat *label.FlatIndex, g *graph.Graph, opt Options) (*Index, error) {
 	if opt.JournalLimit == 0 {
 		opt.JournalLimit = DefaultJournalLimit
 	}
-	work := flat.View().Clone()
 	d := &Index{
 		opt:     opt,
-		workIdx: work,
-		perm:    work.Perm,
-		inv:     work.Inv,
 		n:       flat.N,
-		g:       newMutGraph(g, work.Perm),
+		g:       newMutGraph(g, flat.Perm),
 		visit:   make([]uint32, flat.N),
 		touched: make([]int32, 0, 64),
 		drop:    make([]bool, flat.N),
@@ -182,6 +204,15 @@ func New(flat *label.FlatIndex, g *graph.Graph, opt Options) (*Index, error) {
 	for i := range d.visit {
 		d.visit[i] = graph.Infinity
 	}
+	if flat.Perm != nil {
+		// Own copies of the id tables: loaded indexes defer Inv (Path
+		// needs it), and every rebuilt base shares these.
+		d.perm = slices.Clone(flat.Perm)
+		d.inv = make([]int32, len(d.perm))
+		for v, r := range d.perm {
+			d.inv[r] = int32(v)
+		}
+	}
 	if opt.InitialSeq < 0 {
 		return nil, fmt.Errorf("dynamic: negative InitialSeq %d", opt.InitialSeq)
 	}
@@ -190,14 +221,14 @@ func New(flat *label.FlatIndex, g *graph.Graph, opt Options) (*Index, error) {
 		d.epoch.Store(opt.InitialSeq)
 		d.journalStart = opt.InitialSeq
 	}
-	d.cur.Store(flat)
+	d.cur.Store(newEpoch(flat))
 	return d, nil
 }
 
 // Current returns the label epoch serving queries right now. The returned
-// index is immutable; hold it to answer a batch from one consistent
+// epoch is immutable; hold it to answer a batch from one consistent
 // graph state.
-func (d *Index) Current() *label.FlatIndex { return d.cur.Load() }
+func (d *Index) Current() *Epoch { return d.cur.Load() }
 
 // N returns the number of indexed vertices.
 func (d *Index) N() int32 { return d.n }
@@ -276,43 +307,41 @@ func (d *Index) insertLocked(u, v, w int32) bool {
 	if !d.g.directed {
 		d.g.addArc(b, a, w)
 	}
+	d.begin()
 	d.maintainInsert(a, b, uint32(w))
 	return true
 }
 
-// maintainInsert patches the working labels after arc a->b (rank space,
-// weight w) appeared or improved. Every root whose distances can have
-// shrunk is, by the 2-hop cover property, either an endpoint or a pivot
+// begin forks the current epoch into next, the epoch the running
+// mutation reads and writes. Caller holds mu.
+func (d *Index) begin() {
+	d.gen++
+	d.next = d.cur.Load().fork(d.gen)
+}
+
+// maintainInsert patches the labels after arc a->b (rank space, weight
+// w) appeared or improved. Every root whose distances can have shrunk
+// is, by the 2-hop cover property, either an endpoint or a pivot
 // labeling one: resumed searches from exactly those roots re-cover all
 // improved pairs.
 func (d *Index) maintainInsert(a, b int32, w uint32) {
-	x := d.workIdx
-	batch := make([]rootSeed, 0, len(x.In[a])+len(x.Out[b])+2)
-	if !d.g.directed {
-		// Single label family: roots reaching a extend across the new
-		// edge to b, and vice versa.
-		for _, e := range x.Out[a] {
-			batch = append(batch, rootSeed{r: e.Pivot, forward: true, s: seed{v: b, d: e.Dist + w}})
-		}
-		batch = append(batch, rootSeed{r: a, forward: true, s: seed{v: b, d: w}})
-		for _, e := range x.Out[b] {
-			batch = append(batch, rootSeed{r: e.Pivot, forward: true, s: seed{v: a, d: e.Dist + w}})
-		}
-		batch = append(batch, rootSeed{r: b, forward: true, s: seed{v: a, d: w}})
-	} else {
-		// Roots that reach a (entries in Lin(a)) extend forward through
-		// the new arc; roots reached from b (entries in Lout(b)) extend
-		// backward.
-		for _, e := range x.In[a] {
-			batch = append(batch, rootSeed{r: e.Pivot, forward: true, s: seed{v: b, d: e.Dist + w}})
-		}
-		batch = append(batch, rootSeed{r: a, forward: true, s: seed{v: b, d: w}})
-		for _, e := range x.Out[b] {
-			batch = append(batch, rootSeed{r: e.Pivot, forward: false, s: seed{v: a, d: e.Dist + w}})
-		}
-		batch = append(batch, rootSeed{r: b, forward: false, s: seed{v: a, d: w}})
+	x := d.next
+	batch := d.batch[:0]
+	// Roots that reach a (entries in Lin(a)) extend forward through the
+	// new arc. Roots reached from b (entries in Lout(b)) extend backward
+	// on directed graphs; with a single label family they are roots
+	// reaching b, and extend forward across the edge to a.
+	fromB := !d.g.directed
+	for _, e := range x.In(a) {
+		batch = append(batch, rootSeed{r: e.Pivot, forward: true, s: seed{v: b, d: e.Dist + w}})
 	}
+	batch = append(batch, rootSeed{r: a, forward: true, s: seed{v: b, d: w}})
+	for _, e := range x.Out(b) {
+		batch = append(batch, rootSeed{r: e.Pivot, forward: fromB, s: seed{v: a, d: e.Dist + w}})
+	}
+	batch = append(batch, rootSeed{r: b, forward: fromB, s: seed{v: a, d: w}})
 	d.runSeeds(batch)
+	d.batch = batch[:0]
 }
 
 // DeleteEdge removes the edge u->v (or the undirected edge {u,v}). The
@@ -367,8 +396,8 @@ func (d *Index) deleteLocked(u, v int32) error {
 	var suspects []int32
 	tight := func(x, y uint32) bool { return x != graph.Infinity && x+w == y }
 	if !d.g.directed {
-		d.g.sssp(a, true, da)
-		d.g.sssp(b, true, db)
+		d.g.sssp(a, true, da, &d.pq)
+		d.g.sssp(b, true, db, &d.pq)
 		for r := 0; r < n; r++ {
 			if tight(da[r], db[r]) || tight(db[r], da[r]) {
 				suspects = append(suspects, int32(r))
@@ -381,16 +410,16 @@ func (d *Index) deleteLocked(u, v int32) error {
 		// searches. drop marks the first pass's picks so the second
 		// does not duplicate them; repairSuspects re-derives its own
 		// marks from the suspect list, so clearing here suffices.
-		d.g.sssp(a, false, da)
-		d.g.sssp(b, false, db)
+		d.g.sssp(a, false, da, &d.pq)
+		d.g.sssp(b, false, db, &d.pq)
 		for r := 0; r < n; r++ {
 			if tight(da[r], db[r]) {
 				d.drop[r] = true
 				suspects = append(suspects, int32(r))
 			}
 		}
-		d.g.sssp(a, true, da)
-		d.g.sssp(b, true, db)
+		d.g.sssp(a, true, da, &d.pq)
+		d.g.sssp(b, true, db, &d.pq)
 		for r := 0; r < n; r++ {
 			if !d.drop[r] && tight(db[r], da[r]) {
 				suspects = append(suspects, int32(r))
@@ -418,6 +447,7 @@ func (d *Index) deleteLocked(u, v int32) error {
 			return err
 		}
 	} else {
+		d.begin()
 		d.repairSuspects(suspects)
 		d.dirtyVertices += int64(len(suspects))
 		d.partialRepairs++
@@ -428,7 +458,8 @@ func (d *Index) deleteLocked(u, v int32) error {
 // fullRebuild reconstructs the labeling from scratch with the regular
 // hop-doubling builder, run on a rank-space snapshot of the mutable graph
 // so the existing vertex ranking (and therefore the rank-space adjacency
-// and scratch) stays valid.
+// and scratch) stays valid. The result becomes next's base, with an empty
+// overlay.
 func (d *Index) fullRebuild() error {
 	rg, err := d.g.freeze()
 	if err != nil {
@@ -445,16 +476,25 @@ func (d *Index) fullRebuild() error {
 	if d.perm != nil {
 		x.Perm, x.Inv = d.perm, d.inv
 	}
-	d.workIdx = x
+	d.next = newEpoch(label.Freeze(x))
 	d.fullRebuilds++
 	d.dirtyVertices = 0
 	return nil
 }
 
-// publish freezes the working labels into a fresh immutable epoch and
-// swaps it in for readers.
+// publish swaps the epoch under construction in for readers, first
+// folding its overlay into a fresh base when the compaction rule says
+// so. A replicated op that changed nothing built no epoch; the epoch
+// number advances all the same, in lockstep with seq.
 func (d *Index) publish() {
-	d.cur.Store(label.Freeze(d.workIdx))
+	if e := d.next; e != nil {
+		if e.wantsCompaction() {
+			e = newEpoch(e.Flat())
+			d.compactions++
+		}
+		d.cur.Store(e)
+		d.next = nil
+	}
 	d.epoch.Add(1)
 }
 
@@ -462,6 +502,7 @@ func (d *Index) publish() {
 func (d *Index) Stats() wire.UpdateStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	e := d.cur.Load()
 	st := wire.UpdateStats{
 		Inserts:        d.inserts,
 		Deletes:        d.deletes,
@@ -469,6 +510,9 @@ func (d *Index) Stats() wire.UpdateStats {
 		PartialRepairs: d.partialRepairs,
 		FullRebuilds:   d.fullRebuilds,
 		DirtyVertices:  d.dirtyVertices,
+		OverlayRows:    e.overlayRows,
+		OverlayEntries: e.overlayEntries,
+		Compactions:    d.compactions,
 		Epoch:          d.epoch.Load(),
 		Seq:            d.seq.Load(),
 	}
@@ -487,10 +531,8 @@ func (d *Index) Anomalies() int64 {
 	return d.anomalies
 }
 
-// Validate checks the working labels' structural invariants; see
-// label.Index.Validate. For tests.
+// Validate checks the current epoch's structural invariants row by row;
+// see label.Index.Validate. For tests.
 func (d *Index) Validate() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.workIdx.Validate()
+	return d.Current().view().Validate()
 }

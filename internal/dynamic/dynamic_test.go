@@ -50,7 +50,7 @@ func checkAgainst(t *testing.T, d *Index, want *graph.Graph) {
 		t.Fatalf("maintenance recorded %d anomalies, want 0", a)
 	}
 	if err := d.Validate(); err != nil {
-		t.Fatalf("working labels invalid: %v", err)
+		t.Fatalf("labels invalid: %v", err)
 	}
 }
 
@@ -476,7 +476,7 @@ func TestFullRebuildKeepsBuildOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !label.Freeze(d.workIdx).Equal(label.Freeze(want)) {
+	if !d.Current().Flat().Equal(label.Freeze(want)) {
 		t.Error("rebuilt labels differ from a from-scratch build with the original options")
 	}
 	// ...and visibly differ from what a default (pruned) rebuild would

@@ -67,7 +67,7 @@ func TestRebuildEquivalence5kGLP(t *testing.T) {
 		t.Fatalf("%d maintenance anomalies", a)
 	}
 	if err := d.Validate(); err != nil {
-		t.Fatalf("working labels invalid: %v", err)
+		t.Fatalf("labels invalid: %v", err)
 	}
 	st := d.Stats()
 	t.Logf("applied %d inserts, %d deletes (%d partial repairs, %d full rebuilds, staleness %.3f)",

@@ -105,7 +105,7 @@ func rebuildFlat(t *testing.T, g *graph.Graph) *label.FlatIndex {
 func assertEquivalent(t *testing.T, d *Index, rebuilt *label.FlatIndex, when string) {
 	t.Helper()
 	f := d.Current()
-	n := f.N
+	n := f.N()
 	for s := int32(0); s < n; s++ {
 		for u := int32(0); u < n; u++ {
 			got, want := f.Distance(s, u), rebuilt.Distance(s, u)
@@ -121,48 +121,60 @@ func assertEquivalent(t *testing.T, d *Index, rebuilt *label.FlatIndex, when str
 
 // mutateRandomly drives ops random insert/delete operations (about 60%
 // inserts), returning after asserting rebuild equivalence every
-// checkEvery steps and at the end.
+// checkEvery steps and at the end. After every single step it checks the
+// epoch structure itself: the overlay answers exactly like its
+// materialised CSR, and an epoch published by a compaction has an empty
+// overlay.
 func mutateRandomly(t *testing.T, d *Index, es *edgeSet, rng *rand.Rand, ops, checkEvery int) {
 	t.Helper()
-	n := es.n
 	for i := 0; i < ops; i++ {
-		doInsert := rng.Intn(100) < 60 || len(es.keys) < 2
-		if doInsert {
-			// Find a non-edge (bounded probing; fall back to delete).
-			ok := false
-			for try := 0; try < 50; try++ {
-				u, v := rng.Int31n(n), rng.Int31n(n)
-				if u == v || es.has(u, v) {
-					continue
-				}
-				w := int32(1)
-				if es.weighted {
-					w = 1 + rng.Int31n(9)
-				}
-				if err := d.InsertEdge(u, v, w); err != nil {
-					t.Fatalf("op %d: insert (%d,%d,%d): %v", i, u, v, w, err)
-				}
-				es.put(u, v, w)
-				ok = true
-				break
-			}
-			if ok {
-				continue
+		compactions := d.Stats().Compactions
+		mutateOnce(t, d, es, rng, i)
+		when := fmt.Sprintf("after op %d", i+1)
+		assertOverlayMatchesFlat(t, d, when)
+		if st := d.Stats(); st.Compactions != compactions {
+			if e := d.Current(); st.OverlayRows != 0 || st.OverlayEntries != 0 || e.Flat() != e.base {
+				t.Fatalf("%s: compaction left an overlay behind: %+v", when, st)
 			}
 		}
-		k := es.keys[rng.Intn(len(es.keys))]
-		if err := d.DeleteEdge(k.u, k.v); err != nil {
-			t.Fatalf("op %d: delete (%d,%d): %v", i, k.u, k.v, err)
-		}
-		es.remove(k.u, k.v)
 		if checkEvery > 0 && (i+1)%checkEvery == 0 {
-			assertEquivalent(t, d, rebuildFlat(t, es.build(t)), fmt.Sprintf("after op %d", i+1))
+			assertEquivalent(t, d, rebuildFlat(t, es.build(t)), when)
 		}
 	}
 	assertEquivalent(t, d, rebuildFlat(t, es.build(t)), "after all ops")
 	if err := d.Validate(); err != nil {
-		t.Fatalf("working labels invalid after mutations: %v", err)
+		t.Fatalf("labels invalid after mutations: %v", err)
 	}
+}
+
+// mutateOnce applies one random effective mutation: an insert of a
+// non-edge when the coin says so and one is found, else a delete.
+func mutateOnce(t *testing.T, d *Index, es *edgeSet, rng *rand.Rand, i int) {
+	t.Helper()
+	n := es.n
+	if rng.Intn(100) < 60 || len(es.keys) < 2 {
+		// Find a non-edge (bounded probing; fall back to delete).
+		for try := 0; try < 50; try++ {
+			u, v := rng.Int31n(n), rng.Int31n(n)
+			if u == v || es.has(u, v) {
+				continue
+			}
+			w := int32(1)
+			if es.weighted {
+				w = 1 + rng.Int31n(9)
+			}
+			if err := d.InsertEdge(u, v, w); err != nil {
+				t.Fatalf("op %d: insert (%d,%d,%d): %v", i, u, v, w, err)
+			}
+			es.put(u, v, w)
+			return
+		}
+	}
+	k := es.keys[rng.Intn(len(es.keys))]
+	if err := d.DeleteEdge(k.u, k.v); err != nil {
+		t.Fatalf("op %d: delete (%d,%d): %v", i, k.u, k.v, err)
+	}
+	es.remove(k.u, k.v)
 }
 
 // TestRebuildEquivalence applies random online mutations to live indexes
@@ -216,6 +228,7 @@ func TestRebuildEquivalence(t *testing.T) {
 			return g
 		}},
 	}
+	var compactions int64
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			g := sh.build(t)
@@ -226,7 +239,17 @@ func TestRebuildEquivalence(t *testing.T) {
 				ops, checkEvery = 40, 20
 			}
 			mutateRandomly(t, d, es, rand.New(rand.NewSource(99)), ops, checkEvery)
+			st := d.Stats()
+			t.Logf("%d compactions, %d full rebuilds, overlay now %d rows / %d entries",
+				st.Compactions, st.FullRebuilds, st.OverlayRows, st.OverlayEntries)
+			compactions += st.Compactions
 		})
+	}
+	// The histories must cross the compaction threshold on their own (the
+	// scale-free shape rebuilds on nearly every delete, so it may not), or
+	// the per-step overlay checks never saw a base being cut.
+	if compactions == 0 {
+		t.Error("no history compacted its overlay")
 	}
 }
 

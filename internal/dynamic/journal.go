@@ -32,7 +32,7 @@ var (
 	ErrSeqGap = errors.New("dynamic: sequence out of order")
 )
 
-// commit publishes the working labels as a fresh epoch and journals the
+// commit publishes the epoch under construction and journals the
 // mutation under the next sequence number. Caller holds mu and has
 // already applied the mutation.
 func (d *Index) commit(op string, u, v, w int32) {
@@ -46,13 +46,20 @@ func (d *Index) commit(op string, u, v, w int32) {
 }
 
 // journalAppend records one committed op, trimming the window to the
-// configured cap. Caller holds mu.
+// configured cap. Trimming advances journalHead instead of shifting the
+// window down on every append; the dead prefix is reclaimed only once it
+// is as long as the live window, so a commit past the cap costs
+// amortised O(1), not O(JournalLimit). Caller holds mu.
 func (d *Index) journalAppend(e wire.SeqEdgeOp) {
 	d.journal = append(d.journal, e)
-	if limit := d.opt.JournalLimit; limit > 0 && len(d.journal) > limit {
-		drop := len(d.journal) - limit
-		d.journalStart += int64(drop)
-		d.journal = append(d.journal[:0], d.journal[drop:]...)
+	limit := d.opt.JournalLimit
+	if live := len(d.journal) - d.journalHead; limit > 0 && live > limit {
+		d.journalHead += live - limit
+		d.journalStart += int64(live - limit)
+		if d.journalHead >= limit {
+			d.journal = d.journal[:copy(d.journal, d.journal[d.journalHead:])]
+			d.journalHead = 0
+		}
 	}
 }
 
@@ -79,12 +86,12 @@ func (d *Index) ReplicationLog(since int64, max int) (wire.ReplicationLog, error
 		return log, fmt.Errorf("%w: since=%d but only ops after %d are retained; reseed from a fresh snapshot",
 			ErrJournalGap, since, d.journalStart)
 	}
-	ops := d.journal[since-d.journalStart:]
+	ops := d.journal[d.journalHead+int(since-d.journalStart):]
 	if max > 0 && len(ops) > max {
 		ops = ops[:max]
 		log.Truncated = true
 	}
-	// Copy: the backing array shifts under mu as writers commit.
+	// Copy: writers append to (and compact) the backing array under mu.
 	log.Ops = append([]wire.SeqEdgeOp(nil), ops...)
 	return log, nil
 }

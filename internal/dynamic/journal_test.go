@@ -101,6 +101,77 @@ func TestJournalLimitGap(t *testing.T) {
 	}
 }
 
+// TestJournalTrimAmortised pins the trim's cost and its semantics past
+// the cap: the retained window and journalStart are exactly what a
+// shift-per-append trim keeps, but the backing array is rewritten once
+// per JournalLimit commits, not on every one.
+func TestJournalTrimAmortised(t *testing.T) {
+	const limit = 8
+	d := newDyn(t, pathGraph(t, 4), Options{JournalLimit: limit})
+	// Toggle one edge: every op is effective, so every op is journaled.
+	commit := func(i int) {
+		t.Helper()
+		var err error
+		if i%2 == 0 {
+			err = d.InsertEdge(0, 3, 1)
+		} else {
+			err = d.DeleteEdge(0, 3)
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", i+1, err)
+		}
+	}
+	rewrites := 0
+	for i := 0; i < 3*limit; i++ {
+		var slot0 *wire.SeqEdgeOp
+		var was wire.SeqEdgeOp
+		if len(d.journal) > 0 {
+			slot0, was = &d.journal[0], d.journal[0]
+		}
+		commit(i)
+		if slot0 != nil && (&d.journal[0] != slot0 || d.journal[0] != was) {
+			rewrites++ // reallocated by append, or shifted down by the trim
+		}
+
+		seq := int64(i + 1)
+		wantStart := max(0, seq-limit)
+		if d.journalStart != wantStart {
+			t.Fatalf("after op %d: journalStart = %d, want %d", seq, d.journalStart, wantStart)
+		}
+		log, err := d.ReplicationLog(wantStart, 0)
+		if err != nil {
+			t.Fatalf("after op %d: %v", seq, err)
+		}
+		if int64(len(log.Ops)) != seq-wantStart {
+			t.Fatalf("after op %d: window holds %d ops, want %d", seq, len(log.Ops), seq-wantStart)
+		}
+		for j, op := range log.Ops {
+			wantOp := wire.OpInsert
+			if (wantStart+int64(j))%2 == 1 {
+				wantOp = wire.OpDelete
+			}
+			if op.Seq != wantStart+int64(j)+1 || op.Epoch != op.Seq || op.Op != wantOp {
+				t.Fatalf("after op %d: window[%d] = %+v", seq, j, op)
+			}
+		}
+		if wantStart > 0 {
+			if _, err := d.ReplicationLog(wantStart-1, 0); !errors.Is(err, ErrJournalGap) {
+				t.Fatalf("after op %d: log since %d = %v, want ErrJournalGap", seq, wantStart-1, err)
+			}
+		}
+	}
+	// Growing to 2x limit reallocates a handful of times (append doubles)
+	// and the trim compacts once per limit commits past the cap; a
+	// shift-per-append trim would rewrite on each of the 2*limit commits
+	// past it.
+	if rewrites > limit {
+		t.Fatalf("backing array rewritten on %d of %d commits", rewrites, 3*limit)
+	}
+	if allocs := testing.AllocsPerRun(4*limit, func() { d.journalAppend(wire.SeqEdgeOp{}) }); allocs != 0 {
+		t.Fatalf("steady-state journalAppend allocates %v times per op", allocs)
+	}
+}
+
 func TestApplyReplicatedOrdering(t *testing.T) {
 	g := pathGraph(t, 8)
 	d := newDyn(t, g, Options{})
@@ -220,10 +291,10 @@ func TestReplicationEquivalence(t *testing.T) {
 
 			// Byte-identical label epochs.
 			var pb, rb bytes.Buffer
-			if err := primary.Current().Write(&pb); err != nil {
+			if err := primary.Current().Flat().Write(&pb); err != nil {
 				t.Fatal(err)
 			}
-			if err := replica.Current().Write(&rb); err != nil {
+			if err := replica.Current().Flat().Write(&rb); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(pb.Bytes(), rb.Bytes()) {
@@ -272,7 +343,7 @@ func TestReplicationEquivalenceChained(t *testing.T) {
 	}
 	var bufs [3]bytes.Buffer
 	for i, d := range tier {
-		if err := d.Current().Write(&bufs[i]); err != nil {
+		if err := d.Current().Flat().Write(&bufs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -350,7 +421,7 @@ func TestReplicaSeededFromSnapshot(t *testing.T) {
 	}
 
 	// Snapshot = current labels + current graph + current seq.
-	replica, err := New(primary.Current(), es.build(t), Options{InitialSeq: snapSeq})
+	replica, err := New(primary.Current().Flat(), es.build(t), Options{InitialSeq: snapSeq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,10 +445,10 @@ func TestReplicaSeededFromSnapshot(t *testing.T) {
 		}
 	}
 	var pb, rb bytes.Buffer
-	if err := primary.Current().Write(&pb); err != nil {
+	if err := primary.Current().Flat().Write(&pb); err != nil {
 		t.Fatal(err)
 	}
-	if err := replica.Current().Write(&rb); err != nil {
+	if err := replica.Current().Flat().Write(&rb); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pb.Bytes(), rb.Bytes()) {

@@ -1,10 +1,6 @@
 package dynamic
 
-import (
-	"container/heap"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // arc is one adjacency entry of the mutable graph: a neighbor in rank-id
 // space and the edge weight (always 1 for unweighted graphs).
@@ -164,25 +160,52 @@ type spItem struct {
 	d uint32
 }
 
+// spQueue is a binary min-heap on d. push and pop sift exactly like
+// container/heap (so maintenance visits vertices in the same order it
+// always did) without boxing every item into an interface.
 type spQueue []spItem
 
-func (q spQueue) Len() int           { return len(q) }
-func (q spQueue) Less(i, j int) bool { return q[i].d < q[j].d }
-func (q spQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *spQueue) Push(x any)        { *q = append(*q, x.(spItem)) }
-func (q *spQueue) Pop() any {
-	old := *q
-	it := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return it
+func (q *spQueue) push(it spItem) {
+	h := append(*q, it)
+	*q = h
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if h[j].d >= h[i].d {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *spQueue) pop() spItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].d < h[j].d {
+			j = r
+		}
+		if h[j].d >= h[i].d {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // sssp fills dist (length n) with single-source distances from s over the
 // mutable adjacency: out-arcs when forward, in-arcs otherwise (for
 // undirected graphs the two coincide). Dijkstra with a binary heap, which
 // degrades gracefully to BFS cost on unit weights; delete maintenance
-// needs exact old distances, not speed.
-func (m *mutGraph) sssp(s int32, forward bool, dist []uint32) {
+// needs exact old distances, not speed. q is caller-owned heap scratch.
+func (m *mutGraph) sssp(s int32, forward bool, dist []uint32, q *spQueue) {
 	for i := range dist {
 		dist[i] = graph.Infinity
 	}
@@ -191,16 +214,16 @@ func (m *mutGraph) sssp(s int32, forward bool, dist []uint32) {
 		adj = m.in
 	}
 	dist[s] = 0
-	q := spQueue{{v: s, d: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(spItem)
+	*q = append((*q)[:0], spItem{v: s, d: 0})
+	for len(*q) > 0 {
+		it := q.pop()
 		if it.d > dist[it.v] {
 			continue
 		}
 		for _, a := range adj[it.v] {
 			if nd := it.d + uint32(a.w); nd < dist[a.to] {
 				dist[a.to] = nd
-				heap.Push(&q, spItem{v: a.to, d: nd})
+				q.push(spItem{v: a.to, d: nd})
 			}
 		}
 	}

@@ -24,7 +24,8 @@ func (d *Index) Path(s, t int32) ([]int32, error) {
 		return nil, wire.ErrUnreachable
 	}
 	rs, rt := d.rank(s), d.rank(t)
-	remaining := d.workIdx.DistanceRanked(rs, rt)
+	x := d.cur.Load()
+	remaining := x.DistanceRanked(rs, rt)
 	if remaining == graph.Infinity {
 		return nil, wire.ErrUnreachable
 	}
@@ -44,7 +45,7 @@ func (d *Index) Path(s, t int32) ([]int32, error) {
 			if w > remaining {
 				continue
 			}
-			if dvt := d.workIdx.DistanceRanked(a.to, rt); dvt != graph.Infinity && w+dvt == remaining {
+			if dvt := x.DistanceRanked(a.to, rt); dvt != graph.Infinity && w+dvt == remaining {
 				next, nextRemaining = a.to, dvt
 				break
 			}

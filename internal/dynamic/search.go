@@ -1,11 +1,10 @@
 package dynamic
 
 import (
-	"container/heap"
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/label"
 )
 
 // seed is one starting point of a resumed pruned search: vertex v enters
@@ -16,11 +15,11 @@ type seed struct {
 }
 
 // prunedSearch runs a pruned shortest-path search for root r over the
-// mutable graph, updating the working labels in place. It generalizes the
-// pruned-landmark BFS/Dijkstra in two ways: it can be *resumed* — seeded
-// at arbitrary vertices with non-zero candidate distances, as insertion
-// maintenance requires — and it serves full rebuild-one-root searches by
-// seeding {r, 0}.
+// mutable graph, reading and writing the epoch under construction. It
+// generalizes the pruned-landmark BFS/Dijkstra in two ways: it can be
+// *resumed* — seeded at arbitrary vertices with non-zero candidate
+// distances, as insertion maintenance requires — and it serves full
+// rebuild-one-root searches by seeding {r, 0}.
 //
 // forward searches traverse out-arcs and record (r, d) in the In side of
 // each reached vertex (covering paths r -> y); backward searches traverse
@@ -35,7 +34,7 @@ type seed struct {
 // processing order makes that impossible (counted in anomalies as a
 // defensive check), and the search then expands without recording.
 func (d *Index) prunedSearch(r int32, seeds []seed, forward bool) {
-	x := d.workIdx
+	x := d.next
 	adj := d.g.out
 	if !forward {
 		adj = d.g.in
@@ -49,11 +48,11 @@ func (d *Index) prunedSearch(r int32, seeds []seed, forward bool) {
 				d.touched = append(d.touched, s.v)
 			}
 			visit[s.v] = s.d
-			heap.Push(q, spItem{v: s.v, d: s.d})
+			q.push(spItem{v: s.v, d: s.d})
 		}
 	}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(spItem)
+	for len(*q) > 0 {
+		it := q.pop()
 		v, dv := it.v, it.d
 		if dv > visit[v] {
 			continue // superseded by a shorter candidate
@@ -74,11 +73,7 @@ func (d *Index) prunedSearch(r int32, seeds []seed, forward bool) {
 				continue // pruned: the pair is already covered
 			}
 			if v > r {
-				if forward {
-					x.In[v], _ = label.Insert(x.In[v], r, dv)
-				} else {
-					x.Out[v], _ = label.Insert(x.Out[v], r, dv)
-				}
+				x.insert(forward, v, r, dv)
 			} else {
 				d.anomalies++ // see doc comment; expand without recording
 			}
@@ -89,7 +84,7 @@ func (d *Index) prunedSearch(r int32, seeds []seed, forward bool) {
 					d.touched = append(d.touched, a.to)
 				}
 				visit[a.to] = nd
-				heap.Push(q, spItem{v: a.to, d: nd})
+				q.push(spItem{v: a.to, d: nd})
 			}
 		}
 	}
@@ -113,13 +108,24 @@ type rootSeed struct {
 // from root r reaches a vertex the root does not outrank, the pair is
 // already covered by an earlier (higher-ranked) root, so pruning cuts it.
 func (d *Index) runSeeds(batch []rootSeed) {
-	sort.Slice(batch, func(i, j int) bool {
-		if batch[i].r != batch[j].r {
-			return batch[i].r < batch[j].r
+	// A total order (seeds break ties), so the grouping below does not
+	// depend on the sort algorithm.
+	slices.SortFunc(batch, func(a, b rootSeed) int {
+		if c := cmp.Compare(a.r, b.r); c != 0 {
+			return c
 		}
-		return batch[i].forward && !batch[j].forward
+		if a.forward != b.forward {
+			if a.forward {
+				return -1
+			}
+			return 1
+		}
+		if c := cmp.Compare(a.s.v, b.s.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.s.d, b.s.d)
 	})
-	var seeds []seed
+	seeds := d.seeds
 	for i := 0; i < len(batch); {
 		j := i
 		seeds = seeds[:0]
@@ -130,6 +136,7 @@ func (d *Index) runSeeds(batch []rootSeed) {
 		d.prunedSearch(batch[i].r, seeds, batch[i].forward)
 		i = j
 	}
+	d.seeds = seeds[:0]
 }
 
 // repairSuspects strips every suspect root's entries from the whole label
@@ -144,14 +151,14 @@ func (d *Index) repairSuspects(suspects []int32) {
 	for _, r := range suspects {
 		drop[r] = true
 	}
-	x := d.workIdx
+	x := d.next
 	for v := int32(0); v < d.n; v++ {
-		x.Out[v] = label.RemovePivots(x.Out[v], drop)
+		x.strip(false, v, drop)
 		if d.g.directed {
-			x.In[v] = label.RemovePivots(x.In[v], drop)
+			x.strip(true, v, drop)
 		}
 	}
-	sort.Slice(suspects, func(i, j int) bool { return suspects[i] < suspects[j] })
+	slices.Sort(suspects)
 	for _, r := range suspects {
 		d.prunedSearch(r, []seed{{v: r, d: 0}}, true)
 		if d.g.directed {

@@ -20,10 +20,12 @@ import (
 // synchronization — this is what lets the batch path, the server's
 // worker pool, and the dynamic engine's epoch scheme share one index
 // pointer freely. The flip side: nothing may mutate a published
-// FlatIndex. Code that needs different labels (online updates) builds a
-// new FlatIndex and publishes it with an atomic pointer swap; the arrays
-// may also alias a read-only memory-mapped file (see MmapFlat), where a
-// write is not just a race but a SIGSEGV.
+// FlatIndex. Code that needs different labels (online updates) layers
+// them over it instead: a dynamic.Epoch keeps a FlatIndex as its
+// immutable base, holds the replaced rows in a copy-on-write overlay,
+// and is published with an atomic pointer swap. The arrays may also
+// alias a read-only memory-mapped file (see MmapFlat), where a write is
+// not just a race but a SIGSEGV.
 type FlatIndex struct {
 	// Directed records whether Out and In are distinct label families.
 	Directed bool

@@ -301,22 +301,6 @@ func (x *Index) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the index.
-func (x *Index) Clone() *Index {
-	c := NewIndex(x.N, x.Directed, x.Weighted)
-	for v := int32(0); v < x.N; v++ {
-		c.Out[v] = append([]Entry(nil), x.Out[v]...)
-		if x.Directed {
-			c.In[v] = append([]Entry(nil), x.In[v]...)
-		}
-	}
-	if x.Perm != nil {
-		c.Perm = append([]int32(nil), x.Perm...)
-		c.Inv = append([]int32(nil), x.Inv...)
-	}
-	return c
-}
-
 // Equal reports whether two indexes contain exactly the same label sets
 // (ignoring perm). Used by the in-memory vs external equivalence tests.
 func (x *Index) Equal(y *Index) bool {

@@ -248,6 +248,22 @@ func TestStatsUpdatesSection(t *testing.T) {
 	if st.Updates.Inserts != 1 || st.Updates.Deletes != 1 || st.Updates.Epoch != 2 {
 		t.Fatalf("updates section = %+v", st.Updates)
 	}
+	// The overlay reports itself: two mutations either left replaced
+	// rows in it or were folded into a fresh base.
+	if st.Updates.OverlayRows == 0 && st.Updates.Compactions == 0 {
+		t.Fatalf("updates section shows neither an overlay nor a compaction: %+v", st.Updates)
+	}
+	var shape struct {
+		Updates map[string]json.RawMessage `json:"updates"`
+	}
+	if err := json.Unmarshal([]byte(body), &shape); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"overlay_rows", "overlay_entries", "compactions"} {
+		if _, ok := shape.Updates[key]; !ok {
+			t.Fatalf("updates section lacks %q: %s", key, body)
+		}
+	}
 	if st.Backend != string(hopdb.BackendDynamic) {
 		t.Fatalf("backend = %q, want dynamic", st.Backend)
 	}

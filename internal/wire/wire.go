@@ -200,6 +200,14 @@ type UpdateStats struct {
 	// the fraction the rebuild threshold is compared against.
 	DirtyVertices int64   `json:"dirty_vertices"`
 	Staleness     float64 `json:"staleness"`
+	// OverlayRows and OverlayEntries size the current epoch's
+	// copy-on-write overlay: the label rows replaced since the base CSR
+	// was cut, and the entries they hold. Compactions counts how often
+	// the writer folded the overlay into a fresh base (it does once the
+	// overlay exceeds a fixed fraction of the base), which resets both.
+	OverlayRows    int64 `json:"overlay_rows"`
+	OverlayEntries int64 `json:"overlay_entries"`
+	Compactions    int64 `json:"compactions"`
 	// Epoch counts published label versions: it advances by exactly one
 	// per effective mutation, so readers can correlate answers with
 	// graph states.

@@ -178,8 +178,8 @@ func (q *dynQuerier) Stats() QuerierStats {
 	return QuerierStats{
 		Backend:   BackendDynamic,
 		Kernel:    KernelScalar,
-		Directed:  f.Directed,
-		Vertices:  f.N,
+		Directed:  f.Directed(),
+		Vertices:  f.N(),
 		Entries:   f.Entries(),
 		SizeBytes: f.SizeBytes(),
 	}
@@ -205,13 +205,14 @@ func (q *dynQuerier) ReplicationLog(since int64, max int) (ReplicationLog, error
 }
 func (q *dynQuerier) ApplyReplicated(op ReplicationOp) error { return q.d.ApplyReplicated(op) }
 
-// Save writes the current label epoch in the v2 flat format.
+// Save materialises the current label epoch (base plus overlay) as one
+// CSR and writes it in the v2 flat format.
 func (q *dynQuerier) Save(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := q.d.Current().Write(f); err != nil {
+	if err := q.d.Current().Flat().Write(f); err != nil {
 		f.Close()
 		os.Remove(path)
 		return err
