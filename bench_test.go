@@ -304,7 +304,7 @@ func BenchmarkFigure10(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md design choices) --------------------------------
+// --- Ablations (the paper's design choices) ------------------------------
 
 // BenchmarkAblationPruning contrasts builds with and without the pruning
 // step (Section 3.3): the design choice the paper credits for the small

@@ -1,8 +1,8 @@
 // Command hopdb-bench regenerates the paper's evaluation: every table and
-// figure of Section 8 over the synthetic proxy datasets (see DESIGN.md §5
-// for the substitution rationale). Performance claims about hopdb itself
-// come from the one harness under benchmark/ (bash benchmark/run.sh), not
-// from this command.
+// figure of Section 8 over the synthetic proxy datasets (the package
+// comment of internal/bench gives the substitution rationale).
+// Performance claims about hopdb itself come from the one harness under
+// benchmark/ (bash benchmark/run.sh), not from this command.
 //
 // Usage:
 //

@@ -5,12 +5,27 @@
 // coverage by top-ranked vertices), Figure 9 (synthetic scalability), and
 // Figure 10 (per-iteration growth and pruning).
 //
-// The paper's 27 real datasets are replaced by seeded synthetic proxies:
-// each proxy matches its dataset's group (directedness, weights), its
-// |E|/|V| density (capped for very dense graphs), and a scale-free degree
-// distribution, scaled to run on one machine in minutes. DESIGN.md §5
-// documents the substitution; absolute numbers shrink, the comparative
-// shape is preserved.
+// The paper's 27 real datasets are replaced by seeded synthetic proxies.
+// The originals run to billions of edges and are not redistributable,
+// and the harness must run on one machine in minutes, offline and
+// reproducibly. What the paper's claims rest on is the input's shape,
+// not its identity: the iteration bound, the pruning rate and the label
+// size all follow from a scale-free degree distribution, where a few
+// hubs cover most shortest paths. So each proxy keeps the three
+// properties that shape depends on:
+//
+//   - its dataset's group: directedness and weights. Undirected graphs
+//     use the GLP model, the paper's own synthetic generator; directed
+//     ones use a Chung-Lu power-law model with independent in- and
+//     out-degree roles; weighted ones are GLP with uniform weights;
+//   - its |E|/|V| density, capped for the densest graphs (see
+//     Datasets);
+//   - the relative vertex-count order within its group.
+//
+// Absolute numbers shrink with the graphs. The comparative shape is
+// what is preserved and what the tables are read for: which method
+// builds faster or smaller, and how iterations, growth and pruning
+// evolve.
 package bench
 
 import (

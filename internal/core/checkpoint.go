@@ -30,11 +30,12 @@ import (
 // inverted lists come back in a different order than an uninterrupted
 // build would hold them (owner-scan order, without entries superseded
 // by a later distance improvement), but that cannot change the result:
-// the lists are only read during candidate generation, and every
-// iteration fully sorts its candidates by (owner, pivot, dist) before
-// deduplication, so generation order is immaterial and superseded
-// entries only ever produced candidates the dedup discarded. Tests
-// enforce byte-identity of resumed and uninterrupted indexes.
+// the lists are only read while a pass expands a pivot's group, which
+// keeps the minimum distance per owner whatever the arrival order, so
+// superseded entries only ever offered distances the minimum discarded.
+// The order of the prev entries never mattered either: a pass regroups
+// them by pivot. Tests enforce byte-identity of resumed and
+// uninterrupted indexes.
 
 // ErrNoCheckpoint reports that Options.Resume was set but
 // Options.CheckpointDir contains no checkpoint manifest.
@@ -158,7 +159,7 @@ func (c *checkpointer) save(e *engine, iter int, done bool) error {
 	if err := writeLabelRecords(filepath.Join(c.dir, files.Out), e.out); err != nil {
 		return err
 	}
-	if err := writeCandRecords(filepath.Join(c.dir, files.PrevOut), e.prevOut); err != nil {
+	if err := writeCandRecords(filepath.Join(c.dir, files.PrevOut), e.sides[0].prev); err != nil {
 		return err
 	}
 	if e.directed {
@@ -167,7 +168,7 @@ func (c *checkpointer) save(e *engine, iter int, done bool) error {
 		if err := writeLabelRecords(filepath.Join(c.dir, files.In), e.in); err != nil {
 			return err
 		}
-		if err := writeCandRecords(filepath.Join(c.dir, files.PrevIn), e.prevIn); err != nil {
+		if err := writeCandRecords(filepath.Join(c.dir, files.PrevIn), e.sides[1].prev); err != nil {
 			return err
 		}
 	}
@@ -238,17 +239,17 @@ func (c *checkpointer) load(e *engine) (ckManifest, error) {
 		return ckManifest{}, fmt.Errorf("%w: label families do not match graph directedness", ErrCheckpointMismatch)
 	}
 	n := e.g.N()
-	if err := readLabelRecords(filepath.Join(c.dir, m.Files.Out), n, e.out, e.outByPivot); err != nil {
+	if err := readLabelRecords(filepath.Join(c.dir, m.Files.Out), n, e.out, e.sides[0].inverted); err != nil {
 		return ckManifest{}, err
 	}
-	if e.prevOut, err = readCandRecords(filepath.Join(c.dir, m.Files.PrevOut), n); err != nil {
+	if e.sides[0].prev, err = readCandRecords(filepath.Join(c.dir, m.Files.PrevOut), n); err != nil {
 		return ckManifest{}, err
 	}
 	if e.directed {
-		if err := readLabelRecords(filepath.Join(c.dir, m.Files.In), n, e.in, e.inByPivot); err != nil {
+		if err := readLabelRecords(filepath.Join(c.dir, m.Files.In), n, e.in, e.sides[1].inverted); err != nil {
 			return ckManifest{}, err
 		}
-		if e.prevIn, err = readCandRecords(filepath.Join(c.dir, m.Files.PrevIn), n); err != nil {
+		if e.sides[1].prev, err = readCandRecords(filepath.Join(c.dir, m.Files.PrevIn), n); err != nil {
 			return ckManifest{}, err
 		}
 	}

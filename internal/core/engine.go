@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/graph"
@@ -36,22 +35,11 @@ type engine struct {
 	out [][]label.Entry // Lout (or the single L for undirected graphs)
 	in  [][]label.Entry // Lin; aliases out when undirected
 
-	outByPivot [][]ownerDist // inverted Lout: pivot -> owners
-	inByPivot  [][]ownerDist // inverted Lin: pivot -> owners
-
-	prevOut []cand
-	prevIn  []cand
-
-	candOut []cand
-	candIn  []cand
-
-	ps *pruneScratch
-	// scratches are per-worker prune tables, allocated once per build
-	// (not per span per iteration) and reused by pruneParallel.
-	scratches []*pruneScratch
-	// sortBuf is the merge scratch of the parallel dedup sort; it trades
-	// backing arrays with candOut/candIn between iterations.
-	sortBuf []cand
+	// sides holds the out family, then the in family when directed.
+	sides []*side
+	// workers are the pass's per-goroutine scratch, allocated once per
+	// build.
+	workers []*worker
 	// ck, when non-nil, persists the full engine state after every
 	// completed iteration.
 	ck *checkpointer
@@ -67,253 +55,39 @@ func newEngine(g *graph.Graph, opt Options) *engine {
 		g:        g,
 		directed: g.Directed(),
 		opt:      opt,
-		ps:       newPruneScratch(n),
 	}
 	e.out = make([][]label.Entry, n)
-	e.outByPivot = make([][]ownerDist, n)
+	e.in = e.out
 	if e.directed {
 		e.in = make([][]label.Entry, n)
-		e.inByPivot = make([][]ownerDist, n)
-	} else {
-		e.in = e.out
-		e.inByPivot = e.outByPivot
+	}
+	e.sides = []*side{{same: e.out, opposite: e.in, inverted: make([][]ownerDist, n), adj: g.InNeighbors, weights: g.InWeights}}
+	if e.directed {
+		e.sides = append(e.sides, &side{same: e.in, opposite: e.out, inverted: make([][]ownerDist, n), adj: g.OutNeighbors, weights: g.OutWeights})
 	}
 	return e
 }
 
 // initialize seeds the labels with one entry per edge (the paper's
-// iteration 1 base case).
+// iteration 1 base case): on each side, every stepping partner x of a
+// higher-ranked pivot v gains (v, w).
 func (e *engine) initialize() {
 	n := e.g.N()
-	for u := int32(0); u < n; u++ {
-		adj := e.g.OutNeighbors(u)
-		ws := e.g.OutWeights(u)
-		for i, v := range adj {
-			w := uint32(1)
-			if ws != nil {
-				w = uint32(ws[i])
-			}
-			if v < u {
-				// Higher-ranked target: out-entry (v, w) of u.
-				e.insertOut(cand{owner: u, pivot: v, dist: w})
-				e.prevOut = append(e.prevOut, cand{u, v, w})
-			} else if e.directed {
-				// Higher-ranked source: in-entry (u, w) of v.
-				e.insertIn(cand{owner: v, pivot: u, dist: w})
-				e.prevIn = append(e.prevIn, cand{v, u, w})
-			}
-			// Undirected graphs store each edge as two arcs, so the
-			// v > u arc is handled when scanning from the other side.
-		}
-	}
-}
-
-func (e *engine) insertOut(c cand) {
-	e.out[c.owner], _ = label.Insert(e.out[c.owner], c.pivot, c.dist)
-	e.outByPivot[c.pivot] = append(e.outByPivot[c.pivot], ownerDist{c.owner, c.dist})
-}
-
-func (e *engine) insertIn(c cand) {
-	e.in[c.owner], _ = label.Insert(e.in[c.owner], c.pivot, c.dist)
-	e.inByPivot[c.pivot] = append(e.inByPivot[c.pivot], ownerDist{c.owner, c.dist})
-}
-
-// extendOutDoubling fires Rules 1+2 for one prev out-entry, emitting the
-// raw candidates.
-func (e *engine) extendOutDoubling(c cand, emit func(cand)) {
-	u, v, d := c.owner, c.pivot, c.dist
-	// Rule 1: partner paths x ~> u recorded as in-entries of u with
-	// pivot x, constraint id(v) < id(x) < id(u).
-	partners := e.in[u]
-	i := sort.Search(len(partners), func(i int) bool { return partners[i].Pivot > v })
-	for _, p := range partners[i:] {
-		emit(cand{p.Pivot, v, d + p.Dist})
-	}
-	// Rule 2: partner paths x ~> u recorded as out-entries of x with
-	// pivot u; id(x) > id(u) > id(v) holds by label invariants.
-	for _, od := range e.outByPivot[u] {
-		emit(cand{od.owner, v, d + od.dist})
-	}
-}
-
-// extendInDoubling fires Rules 4+5 for one prev in-entry.
-func (e *engine) extendInDoubling(c cand, emit func(cand)) {
-	v, u, d := c.owner, c.pivot, c.dist
-	// Rule 4: partner paths v ~> y recorded as out-entries of v with
-	// pivot y, constraint id(u) < id(y) < id(v).
-	partners := e.out[v]
-	i := sort.Search(len(partners), func(i int) bool { return partners[i].Pivot > u })
-	for _, p := range partners[i:] {
-		emit(cand{p.Pivot, u, d + p.Dist})
-	}
-	// Rule 5: partner paths v ~> y recorded as in-entries of y with
-	// pivot v; id(y) > id(v) > id(u) holds by label invariants.
-	for _, od := range e.inByPivot[v] {
-		emit(cand{od.owner, u, d + od.dist})
-	}
-}
-
-// extendOutStepping fires the edge-restricted Rules 1+2 (Section 5.1).
-func (e *engine) extendOutStepping(c cand, emit func(cand)) {
-	u, v, d := c.owner, c.pivot, c.dist
-	adj := e.g.InNeighbors(u)
-	ws := e.g.InWeights(u)
-	for i, x := range adj {
-		if x > v {
-			w := uint32(1)
-			if ws != nil {
-				w = uint32(ws[i])
-			}
-			emit(cand{x, v, d + w})
-		}
-	}
-}
-
-// extendInStepping fires the edge-restricted Rules 4+5.
-func (e *engine) extendInStepping(c cand, emit func(cand)) {
-	v, u, d := c.owner, c.pivot, c.dist
-	adj := e.g.OutNeighbors(v)
-	ws := e.g.OutWeights(v)
-	for i, y := range adj {
-		if y > u {
-			w := uint32(1)
-			if ws != nil {
-				w = uint32(ws[i])
-			}
-			emit(cand{y, u, d + w})
-		}
-	}
-}
-
-// generateDoubling applies the simplified Rules 1+2 (out side) and 4+5
-// (in side) joining prev entries against all existing entries.
-func (e *engine) generateDoubling() {
-	emitOut := func(c cand) { e.candOut = append(e.candOut, c) }
-	for _, c := range e.prevOut {
-		e.extendOutDoubling(c, emitOut)
-	}
-	if !e.directed {
-		return
-	}
-	emitIn := func(c cand) { e.candIn = append(e.candIn, c) }
-	for _, c := range e.prevIn {
-		e.extendInDoubling(c, emitIn)
-	}
-}
-
-// generateStepping applies the same rules with the partner side
-// restricted to single edges (Section 5.1).
-func (e *engine) generateStepping() {
-	emitOut := func(c cand) { e.candOut = append(e.candOut, c) }
-	for _, c := range e.prevOut {
-		e.extendOutStepping(c, emitOut)
-	}
-	if !e.directed {
-		return
-	}
-	emitIn := func(c cand) { e.candIn = append(e.candIn, c) }
-	for _, c := range e.prevIn {
-		e.extendInStepping(c, emitIn)
-	}
-}
-
-// dedup sorts candidates by (owner, pivot, dist) and keeps the smallest
-// distance per (owner, pivot) pair.
-func dedup(cands []cand) []cand {
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.owner != b.owner {
-			return a.owner < b.owner
-		}
-		if a.pivot != b.pivot {
-			return a.pivot < b.pivot
-		}
-		return a.dist < b.dist
-	})
-	kept := cands[:0]
-	for _, c := range cands {
-		if len(kept) > 0 {
-			last := kept[len(kept)-1]
-			if last.owner == c.owner && last.pivot == c.pivot {
-				continue
-			}
-		}
-		kept = append(kept, c)
-	}
-	return kept
-}
-
-// pruneScratch is the per-worker scratch state for pruning: a versioned
-// pivot -> distance table for the current candidate owner's same-side
-// label.
-type pruneScratch struct {
-	dist []uint32
-	ver  []int32
-	cur  int32
-}
-
-func newPruneScratch(n int32) *pruneScratch {
-	return &pruneScratch{dist: make([]uint32, n), ver: make([]int32, n)}
-}
-
-// pruneRange removes candidates already answered at <= dist by the
-// existing index (Section 3.3): same holds the candidate owner's label
-// family, opposite the family scanned for witnesses. Candidates must be
-// sorted by owner and kept must not alias cands unless overwriting
-// in-place is intended (the serial path passes cands[:0]).
-func pruneRange(cands []cand, same, opposite [][]label.Entry, ps *pruneScratch, kept []cand) ([]cand, int64) {
-	var pruned int64
-	for start := 0; start < len(cands); {
-		u := cands[start].owner
-		end := start
-		for end < len(cands) && cands[end].owner == u {
-			end++
-		}
-		ps.resetIfNearOverflow()
-		ps.cur++
-		ps.dist[u] = 0
-		ps.ver[u] = ps.cur
-		for _, en := range same[u] {
-			ps.dist[en.Pivot] = en.Dist
-			ps.ver[en.Pivot] = ps.cur
-		}
-		for _, c := range cands[start:end] {
-			drop := false
-			if ps.ver[c.pivot] == ps.cur && ps.dist[c.pivot] <= c.dist {
-				drop = true // existing entry for the pair, or hub at the pivot itself
-			} else {
-				for _, en := range opposite[c.pivot] {
-					if ps.ver[en.Pivot] == ps.cur && ps.dist[en.Pivot]+en.Dist <= c.dist {
-						drop = true
-						break
+	for _, s := range e.sides {
+		for v := int32(0); v < n; v++ {
+			ws := s.weights(v)
+			for i, x := range s.adj(v) {
+				if x > v {
+					w := uint32(1)
+					if ws != nil {
+						w = uint32(ws[i])
 					}
+					s.prev = append(s.prev, cand{x, v, w})
 				}
 			}
-			if drop {
-				pruned++
-			} else {
-				kept = append(kept, c)
-			}
 		}
-		start = end
+		s.insert(n)
 	}
-	return kept, pruned
-}
-
-// pruneOut prunes out-candidates (witnesses come from in-labels).
-func (e *engine) pruneOut(cands []cand) ([]cand, int64) {
-	if e.opt.Parallelism > 1 {
-		return e.pruneParallel(cands, e.out, e.in)
-	}
-	return pruneRange(cands, e.out, e.in, e.ps, cands[:0])
-}
-
-// pruneIn prunes in-candidates (witnesses come from out-labels).
-func (e *engine) pruneIn(cands []cand) ([]cand, int64) {
-	if e.opt.Parallelism > 1 {
-		return e.pruneParallel(cands, e.in, e.out)
-	}
-	return pruneRange(cands, e.in, e.out, e.ps, cands[:0])
 }
 
 // steppingIteration reports whether iteration i uses stepping rules.
@@ -341,59 +115,25 @@ func (e *engine) runFrom(start int) (int, error) {
 		iter++
 		start := time.Now()
 		stepping := e.steppingIteration(iter)
-		prevSize := int64(len(e.prevOut) + len(e.prevIn))
-
-		e.candOut = e.candOut[:0]
-		e.candIn = e.candIn[:0]
-		switch {
-		case e.opt.Parallelism > 1:
-			e.generateParallel(stepping)
-		case stepping:
-			e.generateStepping()
-		default:
-			e.generateDoubling()
+		var prevSize int64
+		for _, s := range e.sides {
+			prevSize += int64(len(s.prev))
 		}
-		raw := int64(len(e.candOut) + len(e.candIn))
 
-		// dedupCands may land the sorted result in the engine's merge
-		// scratch; reassigning the fields keeps candOut/candIn/sortBuf
-		// referring to three distinct arrays across iterations.
-		outCands := e.dedupCands(e.candOut)
-		e.candOut = outCands
-		inCands := e.dedupCands(e.candIn)
-		e.candIn = inCands
-		candidates := int64(len(outCands) + len(inCands))
+		raw, candidates := e.pass(stepping)
 		if e.opt.MaxCandidates > 0 && candidates > e.opt.MaxCandidates {
 			return iter, fmt.Errorf("core: iteration %d produced %d candidates (budget %d): %w",
 				iter, candidates, e.opt.MaxCandidates, ErrCandidateBudget)
 		}
-
-		var pruned int64
-		if !e.opt.DisablePruning {
-			var p int64
-			outCands, p = e.pruneOut(outCands)
-			pruned += p
-			inCands, p = e.pruneIn(inCands)
-			pruned += p
-		} else {
-			// Even without the pruning step, drop candidates that do
-			// not improve an existing entry for the same pair; without
-			// this the process would not terminate. Dropped candidates
-			// count as pruned so the stats invariants hold in both
-			// modes (and match the external builder).
-			before := int64(len(outCands) + len(inCands))
-			outCands, inCands = e.dropNonImproving(outCands, inCands)
-			pruned += before - int64(len(outCands)+len(inCands))
+		var survivors int64
+		for _, s := range e.sides {
+			s.insert(e.g.N())
+			survivors += int64(len(s.prev))
 		}
-
-		for _, c := range outCands {
-			e.insertOut(c)
-		}
-		for _, c := range inCands {
-			e.insertIn(c)
-		}
-		e.prevOut = append(e.prevOut[:0], outCands...)
-		e.prevIn = append(e.prevIn[:0], inCands...)
+		// Candidates dropped by the no-pruning same-pair rule count as
+		// pruned too, so the stats invariants hold in both modes (and
+		// match the external builder).
+		pruned := candidates - survivors
 
 		e.totalCandidates += candidates
 		e.totalPruned += pruned
@@ -404,13 +144,13 @@ func (e *engine) runFrom(start int) (int, error) {
 				Raw:        raw,
 				Candidates: candidates,
 				Pruned:     pruned,
-				Survivors:  int64(len(outCands) + len(inCands)),
+				Survivors:  survivors,
 				PrevSize:   prevSize,
 				LabelSize:  e.entries(),
 				Duration:   time.Since(start),
 			})
 		}
-		done := len(outCands) == 0 && len(inCands) == 0
+		done := survivors == 0
 		if e.ck != nil {
 			if err := e.ck.save(e, iter, done); err != nil {
 				return iter, fmt.Errorf("core: checkpoint after iteration %d: %w", iter, err)
@@ -420,24 +160,6 @@ func (e *engine) runFrom(start int) (int, error) {
 			return iter, nil
 		}
 	}
-}
-
-// dropNonImproving implements the no-pruning ablation: only the existing
-// same-pair check is applied.
-func (e *engine) dropNonImproving(outCands, inCands []cand) ([]cand, []cand) {
-	keepOut := outCands[:0]
-	for _, c := range outCands {
-		if d, ok := label.Lookup(e.out[c.owner], c.pivot); !ok || c.dist < d {
-			keepOut = append(keepOut, c)
-		}
-	}
-	keepIn := inCands[:0]
-	for _, c := range inCands {
-		if d, ok := label.Lookup(e.in[c.owner], c.pivot); !ok || c.dist < d {
-			keepIn = append(keepIn, c)
-		}
-	}
-	return keepOut, keepIn
 }
 
 // entries counts non-trivial label entries currently stored.

@@ -81,11 +81,12 @@ type Options struct {
 	MaxCandidates int64
 	// CollectStats enables per-iteration statistics (Figure 10).
 	CollectStats bool
-	// Parallelism shards candidate generation, sorting/deduplication,
-	// and pruning across this many goroutines (in-memory builder only;
-	// an extension beyond the paper). Values <= 1 run serially. The
-	// parallel build produces exactly the same index as the serial
-	// build. The effective value is clamped (see BuildStats.Workers).
+	// Parallelism splits each iteration's pivot-grouped pass (rule
+	// firing, deduplication and pruning) across this many goroutines
+	// (in-memory builder only; an extension beyond the paper). Values
+	// <= 1 run serially. The parallel build produces exactly the same
+	// index as the serial build. The effective value is clamped (see
+	// BuildStats.Workers).
 	Parallelism int
 
 	// CheckpointDir, when non-empty, makes the in-memory builder

@@ -51,7 +51,7 @@ type BuildStats struct {
 	Method     Method
 	Iterations int
 	// Workers is the effective parallelism the build ran with after
-	// clamping Options.Parallelism (see workerCount): 1 for serial and
+	// clamping Options.Parallelism (see effectiveWorkers): 1 for serial and
 	// external builds. Recorded so callers can see what they actually
 	// got when the requested value was clamped.
 	Workers int

@@ -53,12 +53,20 @@ echo "== generating and indexing a synthetic graph"
 "$tmp/bin/hopdb-gen" -model glp -n 500 -density 4 -seed 7 -o "$tmp/g.txt"
 "$tmp/bin/hopdb-build" -in "$tmp/g.txt" -o "$tmp/g.idx" -disk "$tmp/g.didx"
 
-echo "== parallel build matches the serial build byte-for-byte"
+echo "== parallel build matches the serial build byte-for-byte, and does the same work"
 "$tmp/bin/hopdb-gen" -model glp -n 20000 -density 4 -seed 23 -o "$tmp/big.txt"
-"$tmp/bin/hopdb-build" -in "$tmp/big.txt" -j 1 -o "$tmp/big_serial.idx"
-"$tmp/bin/hopdb-build" -in "$tmp/big.txt" -j 4 -o "$tmp/big_parallel.idx"
+"$tmp/bin/hopdb-build" -in "$tmp/big.txt" -j 1 -stats -o "$tmp/big_serial.idx" 2>"$tmp/serial.stats"
+"$tmp/bin/hopdb-build" -in "$tmp/big.txt" -j 4 -stats -o "$tmp/big_parallel.idx" 2>"$tmp/parallel.stats"
 cmp "$tmp/big_serial.idx" "$tmp/big_parallel.idx" \
   || { echo "parallel build diverges from serial" >&2; exit 1; }
+# The per-iteration counters (rule firings, candidates, pruned,
+# survivors, label size) with the trailing wall-clock time stripped: a
+# scheduling bug that changes the work but not the output fails here.
+iter_counters() { grep '^  iter ' "$1" | sed 's/ ([^)]*)$//'; }
+[ -n "$(iter_counters "$tmp/serial.stats")" ] \
+  || { echo "hopdb-build -stats printed no iteration rows" >&2; exit 1; }
+diff <(iter_counters "$tmp/serial.stats") <(iter_counters "$tmp/parallel.stats") \
+  || { echo "parallel build's per-iteration counters differ from serial" >&2; exit 1; }
 
 echo "== killing a checkpointed build mid-flight and resuming it"
 "$tmp/bin/hopdb-build" -in "$tmp/big.txt" -j 4 -checkpoint "$tmp/ck" -o "$tmp/big_resumed.idx" &
