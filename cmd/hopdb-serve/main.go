@@ -1,6 +1,6 @@
 // Command hopdb-serve is the long-lived query server: it opens a
 // hop-doubling label index once through hopdb.Open — read into memory,
-// mmap'd (-mmap; zero-copy in a -tags hopdb_unsafe binary), served
+// mmap'd and served from the mapping (-mmap), served
 // straight from the block-addressable disk format (-disk), or even
 // proxied from another hopdb-serve (-remote) — and answers distance
 // queries over the versioned /v1 HTTP API until shut down.
@@ -81,7 +81,7 @@ func main() {
 		remoteURL  = flag.String("remote", "", "upstream hopdb-serve URL to proxy (adds a serving + cache tier)")
 		shardPath  = flag.String("shard", "", "rank-shard file written by hopdb-build -shards; serves only its rank range (pair with hopdb-router -shard-map)")
 		shardMapP  = flag.String("shard-map", "", "shard.json to validate -shard against (optional but recommended)")
-		useMmap    = flag.Bool("mmap", false, "memory-map the -idx file (v2 flat format); zero-copy only in a -tags hopdb_unsafe binary, the default build decodes the mapping into heap memory")
+		useMmap    = flag.Bool("mmap", false, "memory-map the -idx file (v2 flat format) and serve the labels from the mapping, paged on demand")
 		diskLabels = flag.Int("disk-cache", 0, "label lists kept in memory by the -disk backend (0 disables)")
 		graphPath  = flag.String("graph", "", "original edge list; attaching it enables /v1/path and -bitparallel")
 		directed   = flag.Bool("directed", false, "treat -graph edges as directed")

@@ -1,14 +1,12 @@
 // Command hopdb-vet runs the repository's invariant analyzers (see
 // internal/analysis) over Go packages:
 //
-//	hopdb-vet [-tags taglist] [-list] [packages]
+//	hopdb-vet [-list] [packages]
 //
 // With no package patterns it checks ./... from the current directory.
 // Findings print one per line as file:line:col: analyzer: message; the
 // exit status is 0 when clean, 1 when there are findings, and 2 when
-// loading or analysis itself failed. Run it twice in CI — once with no
-// tags and once with -tags hopdb_unsafe — so both build configurations
-// stay clean. Suppress a deliberate exception with
+// loading or analysis itself failed. Suppress a deliberate exception with
 //
 //	//hopdb:ignore <analyzer> <reason>
 //
@@ -20,16 +18,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 )
 
 func main() {
-	tags := flag.String("tags", "", "comma-separated build tags (e.g. hopdb_unsafe)")
 	list := flag.Bool("list", false, "print the analyzer catalog and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: hopdb-vet [-tags taglist] [-list] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: hopdb-vet [-list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -45,16 +41,12 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var tagList []string
-	if *tags != "" {
-		tagList = strings.Split(*tags, ",")
-	}
 	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hopdb-vet:", err)
 		os.Exit(2)
 	}
-	pkgs, err := analysis.Load(wd, tagList, patterns...)
+	pkgs, err := analysis.Load(wd, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hopdb-vet:", err)
 		os.Exit(2)

@@ -41,7 +41,7 @@
 // same Querier contract and answers identical distances:
 //
 //	q, _ := hopdb.Open("g.idx")                                       // heap
-//	q, _ := hopdb.Open("g.idx", hopdb.WithMmap())                     // memory-mapped (zero-copy under -tags hopdb_unsafe)
+//	q, _ := hopdb.Open("g.idx", hopdb.WithMmap())                     // memory-mapped, served in place
 //	q, _ := hopdb.Open("g.didx", hopdb.WithDisk(hopdb.DiskOptions{})) // disk-resident
 //	q, _ := hopdb.Open("", hopdb.WithRemote("http://host:8080"))      // behind hopdb-serve
 //
@@ -54,10 +54,10 @@
 // one contiguous entries array per label side addressed by per-vertex
 // offsets, frozen from the mutable slice-of-slices form when construction
 // finishes. Index.Save writes that layout verbatim (the v2 format), so
-// Open re-creates it from a single read with one allocation per section,
-// and a binary built with -tags hopdb_unsafe serves it from the buffer or
-// the WithMmap mapping without copying the payload at all (the default
-// build decodes a mapped file into heap slices all the same).
+// Open serves it in place from a single file-sized read, and
+// Open(path, WithMmap()) serves it from the mapping itself: the payload
+// is never copied, and a mapped index lives in the page cache with O(1)
+// heap.
 //
 // # Beyond distances
 //

@@ -3,6 +3,7 @@ package hopdb
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,6 +47,50 @@ func TestDistanceBatchRaceFlat(t *testing.T) {
 				t.Fatalf("parallel batch differs at %d: %d vs %d", i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestOpenMmapRetainsNoHeap checks that WithMmap serves the labels from
+// the mapping: opening a mapped index retains a small fraction of the
+// file's size in heap, not a decoded copy of it, and still reports the
+// mmap backend.
+func TestOpenMmapRetainsNoHeap(t *testing.T) {
+	g, err := gen.GLP(gen.DefaultGLP(5000, 4, 29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, _, err := Build(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "mmap.idx")
+	if err := idx.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, g = nil, nil
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	q, err := Open(path, WithMmap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	defer q.Close()
+
+	if got := q.Stats().Backend; got != BackendMmap {
+		t.Errorf("Stats().Backend = %q, want %q", got, BackendMmap)
+	}
+	retained := int64(after.HeapInuse) - int64(before.HeapInuse)
+	t.Logf("retained %d heap bytes for a %d-byte index", retained, st.Size())
+	if retained > st.Size()/10 {
+		t.Errorf("Open(WithMmap) retains %d heap bytes for a %d-byte index, want < 10%%", retained, st.Size())
 	}
 }
 

@@ -343,8 +343,8 @@ func (x *Index) SaveCompact(path string) error {
 
 // loadIndex is the heap loader behind Open: one read of the whole file,
 // then a v3 compact image is delta-decoded into fresh arrays and anything
-// else goes to label.ParseFlat, which decodes a v2 flat image (one slice
-// per section; views into the buffer under hopdb_unsafe) and names the
+// else goes to label.ParseFlat, which serves a v2 flat image in place
+// (the index's arrays are views into the read buffer) and names the
 // format in its error otherwise — the first release's v1 files included,
 // which are no longer readable. Path reconstruction and bit-parallel
 // transformation are unavailable until the graph is attached (WithGraph /

@@ -3,10 +3,9 @@
 // otherwise exist only as prose in doc comments — label epochs are
 // published by a single atomic swap (atomicfield), mmap-backed and
 // scratch-backed slices are never retained or written (noaliasretain),
-// the unsafe kernel stays behind its build tag with a portable twin
-// (unsafegate), fallible-backend errors are never folded into the
-// unreachable sentinel or cached (errnocache), and no I/O or Querier
-// call happens under the serving-path mutexes (lockscope).
+// fallible-backend errors are never folded into the unreachable
+// sentinel or cached (errnocache), and no I/O or Querier call happens
+// under the serving-path mutexes (lockscope).
 //
 // The package deliberately depends only on the standard library: the
 // Analyzer/Pass/Diagnostic surface mirrors golang.org/x/tools/go/analysis
@@ -52,11 +51,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// IgnoredFiles lists source files in the package directory that the
-	// current build configuration excluded (build tags); unsafegate
-	// parses them itself, the way x/tools analyzers consume
-	// Pass.IgnoredFiles.
-	IgnoredFiles []string
 
 	diags *[]Diagnostic
 }
@@ -93,13 +87,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		var raw []Diagnostic
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer:     a,
-				Fset:         pkg.Fset,
-				Files:        pkg.Files,
-				Pkg:          pkg.Types,
-				TypesInfo:    pkg.TypesInfo,
-				IgnoredFiles: pkg.IgnoredFiles,
-				diags:        &raw,
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.TypesInfo,
+				diags:     &raw,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
@@ -126,7 +119,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All is the hopdb-vet suite in the order the catalog in
 // docs/ARCHITECTURE.md lists it.
-var All = []*Analyzer{Atomicfield, Noaliasretain, Unsafegate, Errnocache, Lockscope}
+var All = []*Analyzer{Atomicfield, Noaliasretain, Errnocache, Lockscope}
 
 // inspect walks every file's AST, maintaining the ancestor stack (the
 // last element of stack is n's parent). Return false from f to skip n's

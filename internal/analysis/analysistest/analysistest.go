@@ -8,8 +8,7 @@
 // want). The harness loads the fixture against the real module's export
 // data, runs the analyzers, and fails the test on any unexpected
 // diagnostic or unmatched expectation. Expectations are collected from
-// every .go file in the fixture directory — including files the current
-// build-tag set excludes — because unsafegate audits excluded files too.
+// every .go file in the fixture directory.
 package analysistest
 
 import (
@@ -37,12 +36,12 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads fixtureDir (a directory of .go files forming one package)
-// under the given build tags, applies the analyzers, and compares the
-// resulting diagnostics against the fixture's // want comments.
-func Run(t *testing.T, fixtureDir string, tags []string, analyzers ...*analysis.Analyzer) {
+// Run loads fixtureDir (a directory of .go files forming one package),
+// applies the analyzers, and compares the resulting diagnostics against
+// the fixture's // want comments.
+func Run(t *testing.T, fixtureDir string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	pkg, err := analysis.LoadDir(ModuleRoot(t), fixtureDir, tags)
+	pkg, err := analysis.LoadDir(ModuleRoot(t), fixtureDir)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixtureDir, err)
 	}

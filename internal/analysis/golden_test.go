@@ -8,7 +8,7 @@ import (
 )
 
 func TestAtomicfield(t *testing.T) {
-	analysistest.Run(t, "testdata/atomicfield", nil, analysis.Atomicfield)
+	analysistest.Run(t, "testdata/atomicfield", analysis.Atomicfield)
 }
 
 func TestNoaliasretain(t *testing.T) {
@@ -21,31 +21,20 @@ func TestNoaliasretain(t *testing.T) {
 		Sinks: append(append([]analysis.MethodRef{}, analysis.DefaultNoaliasConfig.Sinks...),
 			analysis.MethodRef{Pkg: "fixture/noaliasretain", Typ: "cache", Method: "put"}),
 	}
-	analysistest.Run(t, "testdata/noaliasretain", nil, analysis.NewNoaliasretain(cfg))
-}
-
-func TestUnsafegate(t *testing.T) {
-	// The gate must hold no matter which configuration hopdb-vet runs
-	// under: excluded files are audited through IgnoredFiles.
-	t.Run("default", func(t *testing.T) {
-		analysistest.Run(t, "testdata/unsafegate", nil, analysis.Unsafegate)
-	})
-	t.Run("hopdb_unsafe", func(t *testing.T) {
-		analysistest.Run(t, "testdata/unsafegate", []string{"hopdb_unsafe"}, analysis.Unsafegate)
-	})
+	analysistest.Run(t, "testdata/noaliasretain", analysis.NewNoaliasretain(cfg))
 }
 
 func TestErrnocache(t *testing.T) {
-	analysistest.Run(t, "testdata/errnocache", nil, analysis.Errnocache)
+	analysistest.Run(t, "testdata/errnocache", analysis.Errnocache)
 }
 
 func TestLockscope(t *testing.T) {
-	analysistest.Run(t, "testdata/lockscope", nil, analysis.Lockscope)
+	analysistest.Run(t, "testdata/lockscope", analysis.Lockscope)
 }
 
 // TestIgnoreValidation checks the opt-out contract: a well-formed
 // //hopdb:ignore suppresses its line, while reason-less, unknown-name,
 // and empty annotations are themselves reported and suppress nothing.
 func TestIgnoreValidation(t *testing.T) {
-	analysistest.Run(t, "testdata/ignore", nil, analysis.Atomicfield)
+	analysistest.Run(t, "testdata/ignore", analysis.Atomicfield)
 }

@@ -22,37 +22,31 @@ import (
 
 // A Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	PkgPath      string
-	Dir          string
-	Fset         *token.FileSet
-	Files        []*ast.File
-	Types        *types.Package
-	TypesInfo    *types.Info
-	IgnoredFiles []string
+	PkgPath   string
+	Dir       string
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Types     *types.Package
+	TypesInfo *types.Info
 }
 
 // listedPkg is the subset of `go list -json` output the loader uses.
 type listedPkg struct {
-	Dir            string
-	ImportPath     string
-	Export         string
-	Standard       bool
-	DepOnly        bool
-	GoFiles        []string
-	IgnoredGoFiles []string
-	Error          *struct{ Err string }
+	Dir        string
+	ImportPath string
+	Export     string
+	Standard   bool
+	DepOnly    bool
+	GoFiles    []string
+	Error      *struct{ Err string }
 }
 
 // goList runs `go list -export -json -deps` in dir and returns the
 // decoded package stream. Export data is produced by the toolchain's
 // build cache, so loading works offline and needs no third-party
 // packages driver.
-func goList(dir string, tags []string, patterns []string) ([]listedPkg, error) {
-	args := []string{"list", "-export", "-json", "-deps"}
-	if len(tags) > 0 {
-		args = append(args, "-tags", strings.Join(tags, ","))
-	}
-	args = append(args, patterns...)
+func goList(dir string, patterns []string) ([]listedPkg, error) {
+	args := append([]string{"list", "-export", "-json", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -104,12 +98,10 @@ func newInfo() *types.Info {
 }
 
 // Load resolves patterns (e.g. "./...") in the module rooted at dir
-// under the given build tags and returns the matched packages parsed
-// and type-checked, ready for Run. Only non-test files are analyzed;
-// files excluded by the build configuration are surfaced through
-// Package.IgnoredFiles.
-func Load(dir string, tags []string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, tags, patterns)
+// and returns the matched packages parsed and type-checked, ready for
+// Run. Only non-test files are analyzed.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -140,21 +132,13 @@ func Load(dir string, tags []string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
-		var ignored []string
-		for _, gf := range p.IgnoredGoFiles {
-			if strings.HasSuffix(gf, "_test.go") {
-				continue
-			}
-			ignored = append(ignored, filepath.Join(p.Dir, gf))
-		}
 		pkgs = append(pkgs, &Package{
-			PkgPath:      p.ImportPath,
-			Dir:          p.Dir,
-			Fset:         fset,
-			Files:        files,
-			Types:        tpkg,
-			TypesInfo:    info,
-			IgnoredFiles: ignored,
+			PkgPath:   p.ImportPath,
+			Dir:       p.Dir,
+			Fset:      fset,
+			Files:     files,
+			Types:     tpkg,
+			TypesInfo: info,
 		})
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].PkgPath < pkgs[j].PkgPath })
@@ -166,16 +150,15 @@ func Load(dir string, tags []string, patterns ...string) ([]*Package, error) {
 // module rooted at modDir: fixture imports — standard library or
 // repro/... — are resolved through the toolchain's export data, so
 // fixtures exercise the analyzers against the genuine repository types.
-// Files whose build constraints exclude them under tags are parsed but
-// reported only through IgnoredFiles, matching the Load behavior.
-func LoadDir(modDir, fixtureDir string, tags []string) (*Package, error) {
+// Files whose build constraints exclude them on the host platform are
+// skipped, as the go tool would.
+func LoadDir(modDir, fixtureDir string) (*Package, error) {
 	entries, err := os.ReadDir(fixtureDir)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
 	var files []*ast.File
-	var ignored []string
 	importSet := map[string]bool{}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
@@ -186,8 +169,7 @@ func LoadDir(modDir, fixtureDir string, tags []string) (*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !fileMatchesTags(f, tags) {
-			ignored = append(ignored, path)
+		if !fileMatchesTags(f) {
 			continue
 		}
 		files = append(files, f)
@@ -208,7 +190,7 @@ func LoadDir(modDir, fixtureDir string, tags []string) (*Package, error) {
 			imports = append(imports, p)
 		}
 		sort.Strings(imports)
-		listed, err := goList(modDir, tags, imports)
+		listed, err := goList(modDir, imports)
 		if err != nil {
 			return nil, err
 		}
@@ -226,24 +208,19 @@ func LoadDir(modDir, fixtureDir string, tags []string) (*Package, error) {
 		return nil, fmt.Errorf("type-checking %s: %v", fixtureDir, err)
 	}
 	return &Package{
-		PkgPath:      pkgPath,
-		Dir:          fixtureDir,
-		Fset:         fset,
-		Files:        files,
-		Types:        tpkg,
-		TypesInfo:    info,
-		IgnoredFiles: ignored,
+		PkgPath:   pkgPath,
+		Dir:       fixtureDir,
+		Fset:      fset,
+		Files:     files,
+		Types:     tpkg,
+		TypesInfo: info,
 	}, nil
 }
 
 // fileMatchesTags evaluates f's //go:build constraint (if any) against
-// the tag set plus the host GOOS/GOARCH, mirroring how the go tool
-// selects files.
-func fileMatchesTags(f *ast.File, tags []string) bool {
+// the host's GOOS/GOARCH tags, mirroring how the go tool selects files.
+func fileMatchesTags(f *ast.File) bool {
 	set := map[string]bool{}
-	for _, t := range tags {
-		set[t] = true
-	}
 	for _, t := range hostTags() {
 		set[t] = true
 	}

@@ -175,8 +175,9 @@ type Index struct {
 
 // New wraps a frozen label index and its graph in a dynamic index. flat
 // and g must describe the same graph (vertex count, directedness,
-// weightedness). No label entry is copied: flat becomes the base of the
-// initial epoch and must stay immutable, as every FlatIndex already is.
+// weightedness). No label entry is copied: flat's label arrays become the
+// base of the initial epoch and must stay immutable, as every FlatIndex
+// already is.
 func New(flat *label.FlatIndex, g *graph.Graph, opt Options) (*Index, error) {
 	if flat.N != g.N() {
 		return nil, fmt.Errorf("dynamic: index has %d vertices, graph has %d", flat.N, g.N())
@@ -204,14 +205,20 @@ func New(flat *label.FlatIndex, g *graph.Graph, opt Options) (*Index, error) {
 	for i := range d.visit {
 		d.visit[i] = graph.Infinity
 	}
+	base := flat
 	if flat.Perm != nil {
 		// Own copies of the id tables: loaded indexes defer Inv (Path
-		// needs it), and every rebuilt base shares these.
+		// needs it), and every base shares these. A loaded flat's Perm is
+		// a view into its file buffer; a compacted base inheriting it
+		// would pin that whole buffer after the labels moved on.
 		d.perm = slices.Clone(flat.Perm)
 		d.inv = make([]int32, len(d.perm))
 		for v, r := range d.perm {
 			d.inv[r] = int32(v)
 		}
+		b := *flat // the label arrays stay flat's, as newEpoch(flat) keeps them
+		b.Perm, b.Inv = d.perm, d.inv
+		base = &b
 	}
 	if opt.InitialSeq < 0 {
 		return nil, fmt.Errorf("dynamic: negative InitialSeq %d", opt.InitialSeq)
@@ -221,7 +228,7 @@ func New(flat *label.FlatIndex, g *graph.Graph, opt Options) (*Index, error) {
 		d.epoch.Store(opt.InitialSeq)
 		d.journalStart = opt.InitialSeq
 	}
-	d.cur.Store(newEpoch(flat))
+	d.cur.Store(newEpoch(base))
 	return d, nil
 }
 

@@ -218,6 +218,49 @@ func TestInsertAllocationFlatInIndexSize(t *testing.T) {
 	}
 }
 
+// TestCompactedBaseSharesNoLoadedArray: a loaded index's arrays are views
+// into its file buffer, so once compaction has moved the labels to a new
+// base, that base must hold no array of the loaded index — the id tables
+// included, or a 4n-byte perm would pin the whole buffer.
+func TestCompactedBaseSharesNoLoadedArray(t *testing.T) {
+	g, built := glpIndex(400)
+	var buf bytes.Buffer
+	if err := built.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := label.ParseFlat(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Perm == nil {
+		t.Fatal("builder no longer sets a permutation; the perm case is untested")
+	}
+	d, err := New(loaded, g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; d.Stats().Compactions == 0; i++ {
+		if i == 5000 {
+			t.Fatal("no compaction after 5000 inserts")
+		}
+		u, v := rng.Int31n(g.N()), rng.Int31n(g.N())
+		if u == v {
+			continue
+		}
+		if err := d.InsertEdge(u, v, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := d.Current().base
+	if &b.Perm[0] == &loaded.Perm[0] {
+		t.Error("compacted base shares the loaded index's perm")
+	}
+	if &b.OutOffsets[0] == &loaded.OutOffsets[0] || &b.OutEntries[0] == &loaded.OutEntries[0] {
+		t.Error("compacted base shares the loaded index's label arrays")
+	}
+}
+
 // liveHeap returns the bytes of reachable heap objects.
 func liveHeap() uint64 {
 	runtime.GC()

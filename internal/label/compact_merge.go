@@ -1,19 +1,13 @@
-//go:build !hopdb_unsafe
-
 package label
 
 // compactMerge intersects two packed, sentinel-terminated label rows and
 // returns the minimum joined distance (seeded with best, the trivial-
-// pivot answer). This is the portable kernel: pure Go, no unsafe. Data-
-// dependent cursor movement through divergent regions is computed as
-// arithmetic on the comparison result instead of a branch; the one
-// data-dependent branch the loop keeps — the matching-pivot test — is
-// kept deliberately, because it is the predictable one (see below) and
-// predicting it lets the core run ahead of the masked-advance dependency
-// chain. The gated alternative in compact_merge_unsafe.go (build tag
-// hopdb_unsafe) has the same structure but additionally strips the slice
-// bounds checks, mirroring how the bit-parallel index gates its
-// platform-specific paths.
+// pivot answer). It is pure Go with no unsafe. Data-dependent cursor
+// movement through divergent regions is computed as arithmetic on the
+// comparison result instead of a branch; the one data-dependent branch
+// the loop keeps — the matching-pivot test — is kept deliberately,
+// because it is the predictable one (see below) and predicting it lets
+// the core run ahead of the masked-advance dependency chain.
 //
 // The loop relies on the row layout invariants (see CompactIndex): rows
 // are non-empty and end with at least one sentinel key whose pivot field

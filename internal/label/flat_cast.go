@@ -1,11 +1,16 @@
-//go:build hopdb_unsafe
-
 package label
+
+// The in-place view of the v2 flat format: on a little-endian host the
+// file's CSR sections already have the in-memory layout of []int32,
+// []int64 and []Entry, so ParseFlat reinterprets aligned sections of its
+// input instead of decoding them, and FlatIndex.Write emits each array's
+// memory in one write. This is the only file in the module that imports
+// unsafe (TestUnsafeConfined in internal/analysis holds it to that).
 
 import "unsafe"
 
 // Entry must stay exactly 8 bytes with no padding for the on-disk layout
-// and the zero-copy cast to be valid.
+// and the in-place view to be valid.
 var _ [8]byte = [unsafe.Sizeof(Entry{})]byte{}
 
 // hostLittleEndian reports whether in-memory integer layout matches the
@@ -38,8 +43,9 @@ func entryBytes(p []Entry) ([]byte, bool) {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&p[0])), len(p)*8), true
 }
 
-// castInt32s reinterprets little-endian bytes as []int32, copying only
-// when the host byte order or alignment rules out the zero-copy view.
+// castInt32s reinterprets little-endian bytes as []int32 aliasing b,
+// copying (decodeInt32s) only when the host byte order or b's alignment
+// rules out the in-place view.
 func castInt32s(b []byte) []int32 {
 	if len(b) == 0 {
 		return nil

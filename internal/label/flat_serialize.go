@@ -23,11 +23,12 @@ import (
 //	 .  out entries (pivot u32, dist u32)[outCount]
 //	 .  in entries if directed
 //
-// The label payload (offsets + entries) is the FlatIndex CSR arrays
-// verbatim, so on little-endian hosts the hopdb_unsafe build's ParseFlat
-// returns views into the input buffer with no per-vertex allocation at
-// all; the default build decodes into fresh slices (one allocation per
-// array, still no per-vertex slices).
+// The perm table and the label payload (offsets + entries) are the
+// FlatIndex arrays verbatim, so on a little-endian host ParseFlat serves
+// them in place: the returned index's arrays are views into the input
+// buffer (flat_cast.go), with no copy and no per-vertex allocation. Only
+// a big-endian host or a misaligned buffer takes the decode fallback,
+// which copies each section into one fresh slice.
 const (
 	flatMagic      = "HDX2"
 	flatVersion    = 2
@@ -129,12 +130,15 @@ func (f *FlatIndex) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ParseFlat interprets buf as a v2 flat index image. On little-endian
-// hosts the hopdb_unsafe build returns an index whose offset and entry
-// arrays are views into buf (O(1) allocations, no copying), so buf must
-// stay alive and unmodified for the index's lifetime; the default build
-// decodes each array into a fresh slice. The offset tables are validated
-// so a corrupt image fails here rather than faulting at query time.
+// ParseFlat interprets buf as a v2 flat index image. The returned index
+// aliases buf: its perm, offset and entry arrays are views into it (O(1)
+// allocations, nothing copied), so buf must stay alive and unmodified for
+// as long as the index is used. When buf is a read-only mapping
+// (MmapFlat) the index therefore serves from the page cache with O(1)
+// heap. A section that is misaligned in buf, or any section on a
+// big-endian host, is decoded into a fresh slice instead. The header,
+// the offset tables and every label are validated, so a corrupt image
+// fails here rather than faulting at query time.
 func ParseFlat(buf []byte) (*FlatIndex, error) {
 	if len(buf) < flatHeaderSize {
 		return nil, fmt.Errorf("label: flat image truncated (%d bytes)", len(buf))
@@ -157,6 +161,9 @@ func ParseFlat(buf []byte) (*FlatIndex, error) {
 	flags := buf[5]
 	if flags&^byte(knownFlags) != 0 {
 		return nil, fmt.Errorf("label: unknown flat flags %#x", flags)
+	}
+	if binary.LittleEndian.Uint16(buf[6:8]) != 0 || binary.LittleEndian.Uint32(buf[12:16]) != 0 {
+		return nil, fmt.Errorf("label: nonzero reserved flat header bytes")
 	}
 	n := int64(binary.LittleEndian.Uint32(buf[8:12]))
 	f := &FlatIndex{
@@ -251,8 +258,9 @@ func ParseFlat(buf []byte) (*FlatIndex, error) {
 	return f, nil
 }
 
-// LoadFlatFile reads a v2 flat index with one allocation for the whole
-// label payload (a single file-sized read) plus O(1) bookkeeping.
+// LoadFlatFile reads a v2 flat index into one file-sized heap buffer and
+// serves it in place (ParseFlat): the buffer is the index's only
+// label-sized allocation.
 func LoadFlatFile(path string) (*FlatIndex, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -261,9 +269,10 @@ func LoadFlatFile(path string) (*FlatIndex, error) {
 	return ParseFlat(buf)
 }
 
-// decodeInt32s is the allocating little-endian decode shared by both
-// cast twins (the hopdb_unsafe build reaches it only when byte order or
-// alignment rules out the zero-copy view).
+// decodeInt32s, decodeInt64s and decodeEntries are the allocating
+// little-endian decode behind the casts in flat_cast.go. They run only
+// when the in-place view is ruled out: on a big-endian host, or for a
+// section that is misaligned in its buffer.
 func decodeInt32s(b []byte) []int32 {
 	out := make([]int32, len(b)/4)
 	for i := range out {

@@ -2,9 +2,11 @@ package label_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -135,7 +137,8 @@ func TestFlatSerializeRoundTrip(t *testing.T) {
 
 // TestFlatLoadAllocations asserts the headline property of the v2 format:
 // loading performs O(1) allocations for the label payload instead of one
-// per vertex.
+// per vertex, and the file-sized read buffer is the only label-sized one
+// (the index serves it in place rather than decoding a second copy).
 func TestFlatLoadAllocations(t *testing.T) {
 	_, x := buildRandom(t, 400, false, false, 5)
 	f := label.Freeze(x)
@@ -162,6 +165,65 @@ func TestFlatLoadAllocations(t *testing.T) {
 	// handle, stat, index struct), never one slice per vertex.
 	if allocs > 12 {
 		t.Errorf("LoadFlatFile allocates %v times per load, want O(1)", allocs)
+	}
+
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := uint64(st.Size()) + 64<<10
+	// The fewest bytes over a few loads, so a stray background
+	// allocation cannot fail the test.
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		loaded, err := label.LoadFlatFile(path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(loaded)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > limit {
+		t.Errorf("LoadFlatFile allocates %d bytes for a %d-byte file, want <= file size + 64 KiB", least, st.Size())
+	}
+}
+
+// TestParseFlatMisaligned parses an image from a buffer shifted off the
+// 8-byte grid, which rules out the in-place view for every section: the
+// decode fallback (otherwise reached only on big-endian hosts) must
+// rebuild the same index, into arrays that do not alias the buffer.
+func TestParseFlatMisaligned(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		_, x := buildRandom(t, 151, directed, true, 41) // odd n: padded perm section
+		f := label.Freeze(x)
+		var buf bytes.Buffer
+		if err := f.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		aligned, err := label.ParseFlat(buf.Bytes())
+		if err != nil {
+			t.Fatalf("directed=%v: aligned parse: %v", directed, err)
+		}
+		shifted := make([]byte, buf.Len()+1)
+		b := shifted[1:]
+		copy(b, buf.Bytes())
+		got, err := label.ParseFlat(b)
+		if err != nil {
+			t.Fatalf("directed=%v: misaligned parse: %v", directed, err)
+		}
+		if !got.Equal(aligned) || !got.Equal(f) {
+			t.Fatalf("directed=%v: misaligned parse differs from the aligned one", directed)
+		}
+		// Scribble over the buffer: a decoded index must not notice.
+		for i := range b {
+			b[i] = 0xff
+		}
+		if !got.Equal(f) {
+			t.Fatalf("directed=%v: misaligned parse aliases its buffer", directed)
+		}
 	}
 }
 
@@ -190,6 +252,8 @@ func TestFlatParseRejectsCorrupt(t *testing.T) {
 	corrupt("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
 	corrupt("bad version", func(b []byte) []byte { b[4] = 9; return b })
 	corrupt("unknown flags", func(b []byte) []byte { b[5] |= 0x80; return b })
+	corrupt("reserved u16", func(b []byte) []byte { b[7] = 1; return b })
+	corrupt("reserved u32", func(b []byte) []byte { b[14] = 1; return b })
 	corrupt("truncated header", func(b []byte) []byte { return b[:10] })
 	corrupt("truncated offsets", func(b []byte) []byte { return b[:20] })
 	corrupt("truncated entries", func(b []byte) []byte { return b[:len(b)-8] })

@@ -9,14 +9,14 @@ import (
 )
 
 // MmapFlat memory-maps a v2 flat index file read-only and parses the
-// mapping with ParseFlat. What that buys depends on the build. Under
-// -tags hopdb_unsafe (little-endian hosts) the label arrays alias the
-// mapping: loading is O(1) allocations and O(1) copied bytes regardless
-// of index size, and after the one sequential validation scan (which
-// warms the page cache) the OS keeps labels paged on demand. In the
-// default build ParseFlat decodes every section into a fresh heap slice,
-// so the index costs as much heap as a LoadFlatFile one and the mapping
-// is merely held until Close. Call Close to unmap.
+// mapping with ParseFlat, so the label arrays alias the mapping: loading
+// is O(1) allocations and O(1) copied bytes regardless of index size,
+// and the index serves from the page cache with O(1) heap. After the one
+// sequential validation scan (which warms the page cache) the OS keeps
+// labels paged on demand. The file must not be truncated or rewritten in
+// place while it is mapped; replace it by rename. Call Close to unmap.
+// (On a big-endian host ParseFlat decodes the sections to the heap, and
+// the mapping is merely held until Close.)
 func MmapFlat(path string) (*FlatIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -145,6 +145,11 @@ func (s *Shard) Validate() error {
 			if offs[i] > offs[i+1] {
 				return fmt.Errorf("shard: %s offsets decrease at row %d", name, i)
 			}
+			if offs[i+1] > int64(len(entries)) {
+				// Only the last offset is pinned to len(entries) above; a
+				// middle one may overshoot before a later one decreases.
+				return fmt.Errorf("shard: %s offsets overrun the entries at row %d", name, i)
+			}
 			rank := s.Lo + int32(i)
 			row := entries[offs[i]:offs[i+1]]
 			for j, e := range row {
@@ -252,6 +257,10 @@ func parse(b []byte) (*Shard, error) {
 		count := offs[len(offs)-1]
 		if count < 0 {
 			return nil, fmt.Errorf("negative %s count %d", what, count)
+		}
+		if count > (size-pos)/8 {
+			// Checked before count*8, which a corrupt count can overflow.
+			return nil, fmt.Errorf("%s count %d exceeds the %d bytes left", what, count, size-pos)
 		}
 		sec, err := take(count*8, what)
 		if err != nil {

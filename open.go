@@ -30,12 +30,11 @@ type openConfig struct {
 }
 
 // WithMmap memory-maps the index file (v2 flat format) instead of
-// reading it. Only a binary built with -tags hopdb_unsafe serves labels
-// from the mapping itself (O(1) allocations at load, pages faulted in on
-// demand); the default build decodes the mapped sections into heap
-// slices, so it retains as much heap as a plain Open and differs from it
-// only in leaving the compact kernel off. The backend kind is BackendMmap
-// in both builds.
+// reading it, and serves the labels from the mapping itself: O(1)
+// allocations at load, pages faulted in on demand, O(1) heap retained.
+// The compact kernel stays off, since its packed copy would be heap; see
+// Index.EnableCompact. The file must not be rewritten in place while it
+// is open. The backend kind is BackendMmap.
 func WithMmap() OpenOption {
 	return func(c *openConfig) { c.mmap = true }
 }
@@ -121,7 +120,7 @@ func WithUpdates(opt UpdateOptions) OpenOption {
 // whatever regime it should serve from:
 //
 //	q, err := hopdb.Open("graph.idx")                          // heap
-//	q, err := hopdb.Open("graph.idx", hopdb.WithMmap())        // mmap (zero-copy under -tags hopdb_unsafe)
+//	q, err := hopdb.Open("graph.idx", hopdb.WithMmap())        // mmap, served in place
 //	q, err := hopdb.Open("graph.didx", hopdb.WithDisk(hopdb.DiskOptions{}))
 //	q, err := hopdb.Open("", hopdb.WithRemote("http://host:8080"))
 //
