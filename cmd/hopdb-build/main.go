@@ -177,9 +177,13 @@ func main() {
 			if it.Stepping {
 				mode = "step"
 			}
-			fmt.Fprintf(os.Stderr, "  iter %2d [%6s] raw=%d cand=%d pruned=%d new=%d grow=%.2f prune=%.1f%% labels=%d (%v)\n",
+			ios := ""
+			if *external {
+				ios = fmt.Sprintf(" reads=%d writes=%d", it.ReadIOs, it.WriteIOs)
+			}
+			fmt.Fprintf(os.Stderr, "  iter %2d [%6s] raw=%d cand=%d pruned=%d new=%d grow=%.2f prune=%.1f%% labels=%d%s (%v)\n",
 				it.Iteration, mode, it.Raw, it.Candidates, it.Pruned, it.Survivors,
-				it.GrowingFactor(), it.PruningFactor()*100, it.LabelSize, it.Duration)
+				it.GrowingFactor(), it.PruningFactor()*100, it.LabelSize, ios, it.Duration)
 		}
 	}
 	if *out != "" {

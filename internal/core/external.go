@@ -213,13 +213,10 @@ func (e *extEngine) initialize() error {
 			}
 		}
 	}
-	sortRecs := func(rs []extio.Record) {
-		sort.Slice(rs, func(i, j int) bool { return extio.Less(rs[i], rs[j]) })
-	}
-	sortRecs(adjIn)
-	sortRecs(adjOut)
-	sortRecs(initOut)
-	sortRecs(initIn)
+	extio.SortRecords(adjIn)
+	extio.SortRecords(adjOut)
+	extio.SortRecords(initOut)
+	extio.SortRecords(initIn)
 
 	write := func(name string, recs []extio.Record) (string, error) {
 		p := e.path(name)
@@ -242,7 +239,7 @@ func (e *extEngine) initialize() error {
 	for i, r := range initOut {
 		byPivot[i] = extio.Record{K1: r.K2, K2: r.K1, V: r.V}
 	}
-	sortRecs(byPivot)
+	extio.SortRecords(byPivot)
 	if e.outPivot, err = write("out.pivot", byPivot); err != nil {
 		return err
 	}
@@ -256,7 +253,7 @@ func (e *extEngine) initialize() error {
 	for _, r := range initIn {
 		byPivot = append(byPivot, extio.Record{K1: r.K2, K2: r.K1, V: r.V})
 	}
-	sortRecs(byPivot)
+	extio.SortRecords(byPivot)
 	e.inPivot, err = write("in.pivot", byPivot)
 	return err
 }
@@ -270,6 +267,7 @@ func (e *extEngine) run() (int, error) {
 		}
 		iter++
 		start := time.Now()
+		reads, writes := e.cfg.Counter.Reads(), e.cfg.Counter.Writes()
 		stepping := steppingIterationFor(e.opt, iter)
 
 		prevSize, err := countRecords(e.prevOut, e.cfg)
@@ -309,12 +307,12 @@ func (e *extEngine) run() (int, error) {
 			}
 		}
 
-		// Sort + dedup candidates.
-		dedupOut, err := e.sortDedup(candOut)
+		// Sort candidates, keeping the minimum distance per pair.
+		dedupOut, err := extio.SortUnique(candOut, e.cfg)
 		if err != nil {
 			return iter, err
 		}
-		dedupIn, err := e.sortDedup(candIn)
+		dedupIn, err := extio.SortUnique(candIn, e.cfg)
 		if err != nil {
 			return iter, err
 		}
@@ -403,6 +401,8 @@ func (e *extEngine) run() (int, error) {
 				PrevSize:   prevSize,
 				LabelSize:  size + szIn,
 				Duration:   time.Since(start),
+				ReadIOs:    e.cfg.Counter.Reads() - reads,
+				WriteIOs:   e.cfg.Counter.Writes() - writes,
 			})
 		}
 		if survivors == 0 {
@@ -575,53 +575,6 @@ func (g *grouper) next() ([]extio.Record, bool) {
 	return g.buf, true
 }
 
-// sortDedup externally sorts a candidate file by (owner, pivot, dist) and
-// keeps the minimum-distance record per (owner, pivot). Returns the
-// deduplicated count.
-func (e *extEngine) sortDedup(path string) (int64, error) {
-	if err := extio.SortFile(path, e.cfg, extio.Less); err != nil {
-		return 0, err
-	}
-	tmp := e.path("dedup")
-	r, err := extio.NewReader(path, e.cfg)
-	if err != nil {
-		return 0, err
-	}
-	w, err := extio.NewWriter(tmp, e.cfg)
-	if err != nil {
-		r.Close()
-		return 0, err
-	}
-	var last extio.Record
-	hasLast := false
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		if hasLast && rec.K1 == last.K1 && rec.K2 == last.K2 {
-			continue
-		}
-		if err := w.Append(rec); err != nil {
-			r.Close()
-			w.Close()
-			return 0, err
-		}
-		last = rec
-		hasLast = true
-	}
-	if err := r.Err(); err != nil {
-		w.Close()
-		return 0, err
-	}
-	r.Close()
-	count := w.Count()
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	return count, os.Rename(tmp, path)
-}
-
 // outerGroup is one owner's material resident during pruning: its label
 // (sorted by pivot) and its surviving candidates.
 type outerGroup struct {
@@ -673,6 +626,12 @@ func (e *extEngine) prune(candPath, sameSide, oppositeSide, outPath string) (int
 	labGroup, labOK := labG.next()
 
 	budget := e.cfg.MemoryRecords / 2
+	innerRecords, err := countRecords(oppositeSide, e.cfg)
+	if err != nil {
+		w.Close()
+		return 0, err
+	}
+	chunk := make([]extio.Record, 0, min(int64(budget), innerRecords))
 	var batch []*outerGroup
 	batchRecords := 0
 
@@ -697,7 +656,7 @@ func (e *extEngine) prune(candPath, sameSide, oppositeSide, outPath string) (int
 		if err != nil {
 			return err
 		}
-		chunk := make([]extio.Record, 0, budget)
+		chunk = chunk[:0]
 		processChunk := func() {
 			if len(chunk) == 0 {
 				return
@@ -791,6 +750,10 @@ func (e *extEngine) prune(candPath, sameSide, oppositeSide, outPath string) (int
 		w.Close()
 		return 0, err
 	}
+	if err := labReader.Err(); err != nil {
+		w.Close()
+		return 0, err
+	}
 	if err := flush(); err != nil {
 		w.Close()
 		return 0, err
@@ -845,6 +808,12 @@ func (e *extEngine) dropNonImprovingExt(candPath, sameSide, outPath string) (int
 			}
 		}
 	}
+	for _, r := range []*extio.Reader{candReader, labReader} {
+		if err := r.Err(); err != nil {
+			w.Close()
+			return 0, err
+		}
+	}
 	return dropped, w.Close()
 }
 
@@ -885,82 +854,19 @@ func (e *extEngine) mergeInto(filePath *string, newPath string, byPivot bool) er
 		if err := w.Close(); err != nil {
 			return err
 		}
-		if err := extio.SortFile(src, e.cfg, extio.Less); err != nil {
+		// Survivors are unique per pair, so the dedup keeps them all.
+		if _, err := extio.SortUnique(src, e.cfg); err != nil {
 			return err
 		}
 		defer os.Remove(src)
 	}
 	merged := e.path("merged")
-	if err := mergeKeepMin(*filePath, src, merged, e.cfg); err != nil {
+	if _, err := extio.MergeUnique([]string{*filePath, src}, merged, e.cfg); err != nil {
 		return err
 	}
 	os.Remove(*filePath)
 	*filePath = merged
 	return nil
-}
-
-// mergeKeepMin merges two (K1, K2)-sorted files keeping the smaller V per
-// (K1, K2) pair.
-func mergeKeepMin(aPath, bPath, outPath string, cfg extio.Config) error {
-	ra, err := extio.NewReader(aPath, cfg)
-	if err != nil {
-		return err
-	}
-	defer ra.Close()
-	rb, err := extio.NewReader(bPath, cfg)
-	if err != nil {
-		return err
-	}
-	defer rb.Close()
-	w, err := extio.NewWriter(outPath, cfg)
-	if err != nil {
-		return err
-	}
-	a, aok := ra.Next()
-	b, bok := rb.Next()
-	emit := func(r extio.Record) error { return w.Append(r) }
-	for aok || bok {
-		switch {
-		case !bok || (aok && pairLess(a, b)):
-			if err := emit(a); err != nil {
-				w.Close()
-				return err
-			}
-			a, aok = ra.Next()
-		case !aok || pairLess(b, a):
-			if err := emit(b); err != nil {
-				w.Close()
-				return err
-			}
-			b, bok = rb.Next()
-		default: // same (K1, K2): keep min V
-			if b.V < a.V {
-				a = b
-			}
-			if err := emit(a); err != nil {
-				w.Close()
-				return err
-			}
-			a, aok = ra.Next()
-			b, bok = rb.Next()
-		}
-	}
-	if err := ra.Err(); err != nil {
-		w.Close()
-		return err
-	}
-	if err := rb.Err(); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
-func pairLess(a, b extio.Record) bool {
-	if a.K1 != b.K1 {
-		return a.K1 < b.K1
-	}
-	return a.K2 < b.K2
 }
 
 // index loads the final label files into a label.Index.

@@ -107,13 +107,35 @@ func TestParallelScaleFree(t *testing.T) {
 // candidates, pruned candidates, and survivors.
 type iterCounts struct{ raw, cands, pruned, survivors int64 }
 
-// TestIterationCountsGolden pins every iteration's work counters to the
-// values of the sort-based builder the pivot-grouped pass replaced, for
-// every method and worker count: the pass must fire the same rules,
-// keep the same distinct candidates, and prune the same ones. The
-// directed power-law graph runs past SwitchIteration, so its hybrid
-// build covers doubling iterations too.
-func TestIterationCountsGolden(t *testing.T) {
+// goldenRun is one build of TestIterationCountsGolden's table: a graph,
+// a method, pruning on or off, and every iteration's counters.
+type goldenRun struct {
+	graph   string
+	method  Method
+	noPrune bool
+	iters   []iterCounts
+}
+
+// goldenRuns are the per-iteration counters of the sort-based builder
+// the pivot-grouped pass replaced, on goldenGraphs. The directed
+// power-law graph runs past SwitchIteration, so its hybrid build covers
+// doubling iterations too.
+var goldenRuns = []goldenRun{
+	{"glp", Hybrid, false, []iterCounts{{169344, 53846, 28722, 25124}, {53981, 16487, 15169, 1318}, {1369, 1043, 1037, 6}, {6, 6, 6, 0}}},
+	{"glp", Doubling, false, []iterCounts{{169344, 53846, 28722, 25124}, {320352, 21953, 20598, 1355}, {20923, 5033, 5033, 0}}},
+	{"glp", Stepping, false, []iterCounts{{169344, 53846, 28722, 25124}, {53981, 16487, 15169, 1318}, {1369, 1043, 1037, 6}, {6, 6, 6, 0}}},
+	{"powerlaw", Hybrid, false, []iterCounts{{1504, 1462, 84, 1378}, {1604, 1521, 215, 1306}, {1717, 1584, 376, 1208}, {1771, 1628, 546, 1082}, {1609, 1474, 576, 898}, {1408, 1284, 617, 667}, {1095, 995, 526, 469}, {694, 650, 375, 275}, {408, 382, 245, 137}, {201, 190, 126, 64}, {231, 207, 170, 37}, {85, 76, 76, 0}}},
+	{"powerlaw", Doubling, false, []iterCounts{{1504, 1462, 84, 1378}, {2742, 2426, 392, 2034}, {8128, 5259, 2262, 2997}, {17344, 7009, 5603, 1406}, {6364, 2853, 2830, 23}, {42, 34, 34, 0}}},
+	{"powerlaw", Stepping, false, []iterCounts{{1504, 1462, 84, 1378}, {1604, 1521, 215, 1306}, {1717, 1584, 376, 1208}, {1771, 1628, 546, 1082}, {1609, 1474, 576, 898}, {1408, 1284, 617, 667}, {1095, 995, 526, 469}, {694, 650, 375, 275}, {408, 382, 245, 137}, {201, 190, 126, 64}, {99, 96, 65, 31}, {36, 34, 29, 5}, {5, 5, 4, 1}, {0, 0, 0, 0}}},
+	{"er", Hybrid, false, []iterCounts{{1984, 1968, 17, 1951}, {4058, 3914, 292, 3622}, {8390, 7599, 1814, 5785}, {14034, 11683, 5753, 5930}, {14925, 11945, 7700, 4245}, {10667, 8975, 6713, 2262}, {5599, 5035, 4054, 981}, {2366, 2251, 1922, 329}, {769, 747, 666, 81}, {222, 218, 199, 19}, {376, 330, 324, 6}, {174, 143, 143, 0}}},
+	{"er", Doubling, false, []iterCounts{{1984, 1968, 17, 1951}, {9854, 8622, 840, 7782}, {145246, 33566, 20012, 13554}, {437733, 40259, 37085, 3174}, {89600, 20361, 20317, 44}, {1128, 709, 709, 0}}},
+	{"er", Stepping, false, []iterCounts{{1984, 1968, 17, 1951}, {4058, 3914, 292, 3622}, {8390, 7599, 1814, 5785}, {14034, 11683, 5753, 5930}, {14925, 11945, 7700, 4245}, {10667, 8975, 6713, 2262}, {5599, 5035, 4054, 981}, {2366, 2251, 1922, 329}, {769, 747, 666, 81}, {222, 218, 199, 19}, {36, 36, 31, 5}, {12, 12, 11, 1}, {5, 5, 5, 0}}},
+	{"powerlaw", Hybrid, true, []iterCounts{{1504, 1462, 60, 1402}, {1615, 1532, 147, 1385}, {1802, 1660, 249, 1411}, {2119, 1920, 430, 1490}, {2148, 1932, 534, 1398}, {2143, 1935, 632, 1303}, {1974, 1791, 591, 1200}, {1716, 1587, 570, 1017}, {1493, 1386, 513, 873}, {1066, 1024, 397, 627}, {3900, 2781, 1556, 1225}, {10296, 4123, 3048, 1075}, {6911, 1911, 1897, 14}, {38, 24, 24, 0}}},
+}
+
+// goldenGraphs builds the graphs goldenRuns name.
+func goldenGraphs(t *testing.T) map[string]*graph.Graph {
+	t.Helper()
 	glp, err := gen.GLP(gen.DefaultGLP(2000, 4, 5))
 	if err != nil {
 		t.Fatal(err)
@@ -129,25 +151,16 @@ func TestIterationCountsGolden(t *testing.T) {
 	if er, err = gen.WithRandomWeights(er, 9, 24); err != nil {
 		t.Fatal(err)
 	}
-	graphs := map[string]*graph.Graph{"glp": glp, "powerlaw": powerLaw, "er": er}
-	golden := []struct {
-		graph   string
-		method  Method
-		noPrune bool
-		iters   []iterCounts
-	}{
-		{"glp", Hybrid, false, []iterCounts{{169344, 53846, 28722, 25124}, {53981, 16487, 15169, 1318}, {1369, 1043, 1037, 6}, {6, 6, 6, 0}}},
-		{"glp", Doubling, false, []iterCounts{{169344, 53846, 28722, 25124}, {320352, 21953, 20598, 1355}, {20923, 5033, 5033, 0}}},
-		{"glp", Stepping, false, []iterCounts{{169344, 53846, 28722, 25124}, {53981, 16487, 15169, 1318}, {1369, 1043, 1037, 6}, {6, 6, 6, 0}}},
-		{"powerlaw", Hybrid, false, []iterCounts{{1504, 1462, 84, 1378}, {1604, 1521, 215, 1306}, {1717, 1584, 376, 1208}, {1771, 1628, 546, 1082}, {1609, 1474, 576, 898}, {1408, 1284, 617, 667}, {1095, 995, 526, 469}, {694, 650, 375, 275}, {408, 382, 245, 137}, {201, 190, 126, 64}, {231, 207, 170, 37}, {85, 76, 76, 0}}},
-		{"powerlaw", Doubling, false, []iterCounts{{1504, 1462, 84, 1378}, {2742, 2426, 392, 2034}, {8128, 5259, 2262, 2997}, {17344, 7009, 5603, 1406}, {6364, 2853, 2830, 23}, {42, 34, 34, 0}}},
-		{"powerlaw", Stepping, false, []iterCounts{{1504, 1462, 84, 1378}, {1604, 1521, 215, 1306}, {1717, 1584, 376, 1208}, {1771, 1628, 546, 1082}, {1609, 1474, 576, 898}, {1408, 1284, 617, 667}, {1095, 995, 526, 469}, {694, 650, 375, 275}, {408, 382, 245, 137}, {201, 190, 126, 64}, {99, 96, 65, 31}, {36, 34, 29, 5}, {5, 5, 4, 1}, {0, 0, 0, 0}}},
-		{"er", Hybrid, false, []iterCounts{{1984, 1968, 17, 1951}, {4058, 3914, 292, 3622}, {8390, 7599, 1814, 5785}, {14034, 11683, 5753, 5930}, {14925, 11945, 7700, 4245}, {10667, 8975, 6713, 2262}, {5599, 5035, 4054, 981}, {2366, 2251, 1922, 329}, {769, 747, 666, 81}, {222, 218, 199, 19}, {376, 330, 324, 6}, {174, 143, 143, 0}}},
-		{"er", Doubling, false, []iterCounts{{1984, 1968, 17, 1951}, {9854, 8622, 840, 7782}, {145246, 33566, 20012, 13554}, {437733, 40259, 37085, 3174}, {89600, 20361, 20317, 44}, {1128, 709, 709, 0}}},
-		{"er", Stepping, false, []iterCounts{{1984, 1968, 17, 1951}, {4058, 3914, 292, 3622}, {8390, 7599, 1814, 5785}, {14034, 11683, 5753, 5930}, {14925, 11945, 7700, 4245}, {10667, 8975, 6713, 2262}, {5599, 5035, 4054, 981}, {2366, 2251, 1922, 329}, {769, 747, 666, 81}, {222, 218, 199, 19}, {36, 36, 31, 5}, {12, 12, 11, 1}, {5, 5, 5, 0}}},
-		{"powerlaw", Hybrid, true, []iterCounts{{1504, 1462, 60, 1402}, {1615, 1532, 147, 1385}, {1802, 1660, 249, 1411}, {2119, 1920, 430, 1490}, {2148, 1932, 534, 1398}, {2143, 1935, 632, 1303}, {1974, 1791, 591, 1200}, {1716, 1587, 570, 1017}, {1493, 1386, 513, 873}, {1066, 1024, 397, 627}, {3900, 2781, 1556, 1225}, {10296, 4123, 3048, 1075}, {6911, 1911, 1897, 14}, {38, 24, 24, 0}}},
-	}
-	for _, gc := range golden {
+	return map[string]*graph.Graph{"glp": glp, "powerlaw": powerLaw, "er": er}
+}
+
+// TestIterationCountsGolden pins every iteration's work counters to
+// goldenRuns for every method and worker count: the pass must fire the
+// same rules, keep the same distinct candidates, and prune the same
+// ones.
+func TestIterationCountsGolden(t *testing.T) {
+	graphs := goldenGraphs(t)
+	for _, gc := range goldenRuns {
 		for _, workers := range []int{1, 2, 3, 8} {
 			_, st, err := Build(graphs[gc.graph], Options{Method: gc.method, DisablePruning: gc.noPrune, Parallelism: workers, CollectStats: true})
 			if err != nil {

@@ -28,6 +28,11 @@ type IterStats struct {
 	LabelSize int64
 	// Duration is the wall-clock time of the iteration.
 	Duration time.Duration
+	// ReadIOs/WriteIOs count the iteration's block transfers in an
+	// external build. In-memory builds leave them zero, and omitempty
+	// keeps them out of their checkpoint manifests.
+	ReadIOs  int64 `json:",omitempty"`
+	WriteIOs int64 `json:",omitempty"`
 }
 
 // GrowingFactor is the paper's candidates / previous-new-labels ratio.

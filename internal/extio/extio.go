@@ -1,7 +1,7 @@
 // Package extio is the external-memory substrate for the paper's
 // I/O-efficient algorithms (Section 4): fixed-size record files with
 // block-granular, counted I/O, buffered sequential readers and writers,
-// and an external merge sort with a bounded memory budget.
+// and a deduplicating external merge sort with a bounded memory budget.
 //
 // The cost model follows Aggarwal & Vitter as the paper does: reading or
 // writing N records costs scan(N) = ceil(N/B) I/Os where B is the block

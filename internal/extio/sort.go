@@ -1,87 +1,95 @@
 package extio
 
 import (
-	"container/heap"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 )
 
-// LessFunc orders records during external sorting.
-type LessFunc func(a, b Record) bool
-
-// SortFile externally sorts the record file at path in place: runs of at
-// most MemoryRecords records are sorted in memory and spilled, then
-// merged. Uses multi-pass merging when the run count exceeds the fan-in
-// the memory budget allows.
-func SortFile(path string, cfg Config, less LessFunc) error {
+// SortUnique externally sorts the record file at path in place by Less
+// and keeps only the first record of each (K1, K2) pair, which is the
+// one with the minimum V. Runs of at most MemoryRecords records are
+// radix-sorted in memory, deduplicated and spilled, then merged with the
+// same dedup, in several passes when the run count exceeds the fan-in
+// the memory budget allows. It returns the number of records kept.
+func SortUnique(path string, cfg Config) (int64, error) {
 	if err := cfg.Validate(); err != nil {
-		return err
+		return 0, err
 	}
-	runs, err := makeRuns(path, cfg, less)
-	if err != nil {
-		return err
-	}
+	runs, kept, err := makeRuns(path, cfg)
 	defer func() {
 		for _, r := range runs {
 			os.Remove(r)
 		}
 	}()
+	if err != nil {
+		return 0, err
+	}
 	if len(runs) == 0 {
 		// Empty input: truncate output.
-		return WriteAll(path, cfg, nil)
+		return 0, WriteAll(path, cfg, nil)
 	}
-	fan := cfg.MemoryRecords/cfg.BlockRecords - 1
-	if fan < 2 {
-		fan = 2
-	}
-	pass := 0
-	for len(runs) > 1 {
+	fan := max(cfg.MemoryRecords/cfg.BlockRecords-1, 2)
+	for pass := 0; len(runs) > 1; pass++ {
 		var next []string
+		kept = 0
 		for i := 0; i < len(runs); i += fan {
-			j := i + fan
-			if j > len(runs) {
-				j = len(runs)
-			}
+			j := min(i+fan, len(runs))
 			out := fmt.Sprintf("%s.merge.%d.%d", path, pass, i/fan)
-			if err := MergeFiles(runs[i:j], out, cfg, less); err != nil {
-				return err
+			n, err := MergeUnique(runs[i:j], out, cfg)
+			if err != nil {
+				os.Remove(out)
+				return 0, err
 			}
 			for _, r := range runs[i:j] {
 				os.Remove(r)
 			}
 			next = append(next, out)
+			kept += n
 		}
 		runs = next
-		pass++
 	}
 	if err := os.Rename(runs[0], path); err != nil {
-		return err
+		return 0, err
 	}
 	runs = nil
-	return nil
+	return kept, nil
 }
 
-// makeRuns splits the input into sorted run files.
-func makeRuns(path string, cfg Config, less LessFunc) ([]string, error) {
+// makeRuns splits the input into sorted, deduplicated run files and
+// returns them with their total record count. The run buffer holds
+// min(M, records in the file) records, and the radix scratch as many
+// again.
+func makeRuns(path string, cfg Config) ([]string, int64, error) {
+	info, err := os.Stat(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	size := int(min(info.Size()/RecordBytes, int64(cfg.MemoryRecords)))
+	if size == 0 {
+		// Still scan the file so a truncated record is reported.
+		size = 1
+	}
 	r, err := NewReader(path, cfg)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer r.Close()
 	var runs []string
-	buf := make([]Record, 0, cfg.MemoryRecords)
+	var kept int64
+	buf := make([]Record, 0, size)
+	tmp := make([]Record, size)
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil
 		}
-		sort.Slice(buf, func(i, j int) bool { return less(buf[i], buf[j]) })
+		sorted := dedupSorted(radixSort(buf, tmp))
 		run := fmt.Sprintf("%s.run.%d", path, len(runs))
-		if err := WriteAll(run, cfg, buf); err != nil {
+		runs = append(runs, run)
+		if err := WriteAll(run, cfg, sorted); err != nil {
 			return err
 		}
-		runs = append(runs, run)
+		kept += int64(len(sorted))
 		buf = buf[:0]
 		return nil
 	}
@@ -91,107 +99,196 @@ func makeRuns(path string, cfg Config, less LessFunc) ([]string, error) {
 			break
 		}
 		buf = append(buf, rec)
-		if len(buf) == cfg.MemoryRecords {
+		if len(buf) == cap(buf) {
 			if err := flush(); err != nil {
-				return runs, err
+				return runs, 0, err
 			}
 		}
 	}
 	if err := r.Err(); err != nil {
-		return runs, err
+		return runs, 0, err
 	}
 	if err := flush(); err != nil {
-		return runs, err
+		return runs, 0, err
 	}
-	return runs, nil
+	return runs, kept, nil
 }
 
-// mergeItem is a heap element for the k-way merge.
+// SortRecords sorts recs in memory by Less with the radix sort the runs
+// of SortUnique use. It keeps duplicates.
+func SortRecords(recs []Record) {
+	copy(recs, radixSort(recs, make([]Record, len(recs))))
+}
+
+// signBit flips int32 keys into unsigned order: negative keys first.
+const signBit = 1 << 31
+
+// radixSort sorts recs by Less with a stable LSD radix sort over the
+// twelve bytes of (K1, K2, V), least significant first, and returns
+// whichever of recs and tmp holds the result; tmp must be at least as
+// long as recs. A digit every record shares needs no pass and is
+// skipped, so keys drawn from a small range cost a few passes, not
+// twelve.
+func radixSort(recs, tmp []Record) []Record {
+	n := len(recs)
+	if n < 2 {
+		return recs
+	}
+	// counts[w*4+b] histograms byte b of word w, words ordered V, K2, K1.
+	var counts [12][256]int
+	for _, r := range recs {
+		v, k2, k1 := r.V, uint32(r.K2)^signBit, uint32(r.K1)^signBit
+		counts[0][byte(v)]++
+		counts[1][byte(v>>8)]++
+		counts[2][byte(v>>16)]++
+		counts[3][byte(v>>24)]++
+		counts[4][byte(k2)]++
+		counts[5][byte(k2>>8)]++
+		counts[6][byte(k2>>16)]++
+		counts[7][byte(k2>>24)]++
+		counts[8][byte(k1)]++
+		counts[9][byte(k1>>8)]++
+		counts[10][byte(k1>>16)]++
+		counts[11][byte(k1>>24)]++
+	}
+	src, dst := recs, tmp[:n]
+	for d := range counts {
+		c := &counts[d]
+		if slices.Contains(c[:], n) {
+			continue
+		}
+		shift := uint(d%4) * 8
+		sum := 0
+		for b, k := range c {
+			c[b] = sum
+			sum += k
+		}
+		switch d / 4 {
+		case 0:
+			for _, r := range src {
+				b := byte(r.V >> shift)
+				dst[c[b]] = r
+				c[b]++
+			}
+		case 1:
+			for _, r := range src {
+				b := byte((uint32(r.K2) ^ signBit) >> shift)
+				dst[c[b]] = r
+				c[b]++
+			}
+		default:
+			for _, r := range src {
+				b := byte((uint32(r.K1) ^ signBit) >> shift)
+				dst[c[b]] = r
+				c[b]++
+			}
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// dedupSorted keeps the first record of each (K1, K2) pair of the
+// Less-sorted recs, in place.
+func dedupSorted(recs []Record) []Record {
+	out := recs[:0]
+	for i, r := range recs {
+		if i > 0 && r.K1 == out[len(out)-1].K1 && r.K2 == out[len(out)-1].K2 {
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// mergeItem is one input's head record in the k-way merge.
 type mergeItem struct {
 	rec Record
 	src int
 }
 
-type mergeHeap struct {
-	items []mergeItem
-	less  LessFunc
+// before orders heap items by record, then by input index, so equal
+// records leave in input order.
+func (a mergeItem) before(b mergeItem) bool {
+	if a.rec != b.rec {
+		return Less(a.rec, b.rec)
+	}
+	return a.src < b.src
 }
 
-func (h mergeHeap) Len() int { return len(h.items) }
-func (h mergeHeap) Less(i, j int) bool {
-	if h.less(h.items[i].rec, h.items[j].rec) {
-		return true
-	}
-	if h.less(h.items[j].rec, h.items[i].rec) {
-		return false
-	}
-	return h.items[i].src < h.items[j].src // deterministic tie-break
-}
-func (h mergeHeap) Swap(i, j int)       { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
-}
-
-// MergeFiles k-way merges sorted inputs into out.
-func MergeFiles(inputs []string, out string, cfg Config, less LessFunc) error {
-	readers := make([]*Reader, len(inputs))
-	for i, p := range inputs {
-		r, err := NewReader(p, cfg)
-		if err != nil {
-			for _, rr := range readers[:i] {
-				rr.Close()
-			}
-			return err
+// siftDown restores the min-heap property of h below i.
+func siftDown(h []mergeItem, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
 		}
-		readers[i] = r
+		if r := m + 1; r < len(h) && h[r].before(h[m]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
+}
+
+// MergeUnique k-way merges inputs, each sorted by Less, into out and
+// keeps the first record of each (K1, K2) pair: the minimum V, and of
+// equal records the one from the earliest input. It returns the number
+// of records written.
+func MergeUnique(inputs []string, out string, cfg Config) (int64, error) {
+	readers := make([]*Reader, 0, len(inputs))
 	defer func() {
 		for _, r := range readers {
-			if r != nil {
-				r.Close()
-			}
+			r.Close()
 		}
 	}()
+	for _, p := range inputs {
+		r, err := NewReader(p, cfg)
+		if err != nil {
+			return 0, err
+		}
+		readers = append(readers, r)
+	}
 	w, err := NewWriter(out, cfg)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	h := &mergeHeap{less: less}
+	h := make([]mergeItem, 0, len(readers))
 	for i, r := range readers {
 		if rec, ok := r.Next(); ok {
-			h.items = append(h.items, mergeItem{rec, i})
+			h = append(h, mergeItem{rec, i})
 		} else if err := r.Err(); err != nil {
 			w.Close()
-			return err
+			return 0, err
 		}
 	}
-	heap.Init(h)
-	for h.Len() > 0 {
-		it := heap.Pop(h).(mergeItem)
-		if err := w.Append(it.rec); err != nil {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	var last Record
+	for len(h) > 0 {
+		it := h[0]
+		if w.Count() == 0 || it.rec.K1 != last.K1 || it.rec.K2 != last.K2 {
+			if err := w.Append(it.rec); err != nil {
+				w.Close()
+				return 0, err
+			}
+			last = it.rec
+		}
+		r := readers[it.src]
+		if rec, ok := r.Next(); ok {
+			h[0].rec = rec
+		} else if err := r.Err(); err != nil {
 			w.Close()
-			return err
+			return 0, err
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
-		if rec, ok := readers[it.src].Next(); ok {
-			heap.Push(h, mergeItem{rec, it.src})
-		} else if err := readers[it.src].Err(); err != nil {
-			w.Close()
-			return err
-		}
+		siftDown(h, 0)
 	}
-	return w.Close()
-}
-
-// TempPath returns a fresh file path inside cfg.Dir (or the OS temp dir).
-func TempPath(cfg Config, name string) string {
-	dir := cfg.Dir
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	return filepath.Join(dir, name)
+	return w.Count(), w.Close()
 }
