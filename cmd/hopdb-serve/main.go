@@ -332,8 +332,9 @@ func main() {
 
 // checkShardMap cross-checks an opened shard backend against a
 // shard.json: the advertised rank range must be the map's hub tier or
-// one of its leaves, over the same vertex count — catching a stale or
-// mismatched shard file before the router ever routes to it.
+// one of its leaves, over the same vertex count, direction and
+// weighting — catching a stale or mismatched shard file before the
+// router ever routes to it.
 func checkShardMap(q hopdb.Querier, mapPath string) error {
 	m, err := shard.LoadMap(mapPath)
 	if err != nil {
@@ -343,6 +344,12 @@ func checkShardMap(q hopdb.Querier, mapPath string) error {
 	si := st.Shard
 	if st.Vertices != m.N {
 		return fmt.Errorf("shard has %d vertices but %s describes %d", st.Vertices, mapPath, m.N)
+	}
+	if st.Directed != m.Directed {
+		return fmt.Errorf("shard is directed=%v but %s describes directed=%v", st.Directed, mapPath, m.Directed)
+	}
+	if s, ok := q.(*shard.Shard); ok && s.Weighted != m.Weighted {
+		return fmt.Errorf("shard is weighted=%v but %s describes weighted=%v", s.Weighted, mapPath, m.Weighted)
 	}
 	if si.Hub {
 		if si.Lo != 0 || si.Hi != m.HubRanks {

@@ -346,7 +346,8 @@ func (x *Index) SaveCompact(path string) error {
 // else goes to label.ParseFlat, which serves a v2 flat image in place
 // (the index's arrays are views into the read buffer) and names the
 // format in its error otherwise — the first release's v1 files included,
-// which are no longer readable. Path reconstruction and bit-parallel
+// which are no longer readable, and shard files, which open with
+// OpenShard. Path reconstruction and bit-parallel
 // transformation are unavailable until the graph is attached (WithGraph /
 // AttachGraph).
 func loadIndex(path string) (*Index, error) {

@@ -121,9 +121,11 @@ func NewRouter(pool *Pool, cfg RouterConfig) (*Router, error) {
 		if err := cfg.ShardMap.Validate(); err != nil {
 			return nil, err
 		}
-		if !cfg.Hub.Hub || cfg.Hub.Lo != 0 || cfg.Hub.Hi != cfg.ShardMap.HubRanks || cfg.Hub.NumVertices != cfg.ShardMap.N {
-			return nil, fmt.Errorf("cluster: hub shard [%d,%d) of n=%d does not match shard map hub tier [0,%d) of n=%d",
-				cfg.Hub.Lo, cfg.Hub.Hi, cfg.Hub.NumVertices, cfg.ShardMap.HubRanks, cfg.ShardMap.N)
+		hub, m := cfg.Hub, cfg.ShardMap
+		if !hub.Hub || hub.Lo != 0 || hub.Hi != m.HubRanks || hub.NumVertices != m.N ||
+			hub.Directed != m.Directed || hub.Weighted != m.Weighted {
+			return nil, fmt.Errorf("cluster: hub shard [%d,%d) of n=%d (directed=%v weighted=%v) does not match shard map hub tier [0,%d) of n=%d (directed=%v weighted=%v)",
+				hub.Lo, hub.Hi, hub.NumVertices, hub.Directed, hub.Weighted, m.HubRanks, m.N, m.Directed, m.Weighted)
 		}
 	}
 	rt := &Router{

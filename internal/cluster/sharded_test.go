@@ -13,6 +13,7 @@ import (
 	"time"
 
 	hopdb "repro"
+	"repro/internal/gen"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/wire"
@@ -95,6 +96,51 @@ func newShardedRouter(t *testing.T, f *shardFleet, cfg RouterConfig) (*Router, *
 	ts := httptest.NewServer(rt.Handler())
 	t.Cleanup(ts.Close)
 	return rt, ts
+}
+
+// TestNewRouterRejectsHubOfOtherBuild pins that the hub must come from
+// the build the shard map describes, direction and weighting included:
+// the undirected and directed builds of a 200-vertex graph cut the same
+// hub range [0, ceil(sqrt(n))), but an undirected hub aliases In to Out,
+// so routing a directed fleet with it would merge Out rows as In rows.
+func TestNewRouterRejectsHubOfOtherBuild(t *testing.T) {
+	cut := func(directed bool) (*shard.Map, *shard.Shard) {
+		g, err := gen.PowerLaw(gen.PowerLawParams{N: 200, Density: 3, Alpha: 2.2, Directed: directed, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		m, _, err := hopdb.BuildShards(g, hopdb.Options{}, hopdb.ShardConfig{Shards: 2, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hub, err := shard.Load(filepath.Join(dir, m.HubFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, hub
+	}
+	dm, dhub := cut(true)
+	um, uhub := cut(false)
+	weighted := *dm
+	weighted.Weighted = !dm.Weighted
+	for _, c := range []struct {
+		name string
+		m    *shard.Map
+		hub  *shard.Shard
+		ok   bool
+	}{
+		{"directed", dm, dhub, true},
+		{"undirected", um, uhub, true},
+		{"undirected hub, directed map", dm, uhub, false},
+		{"directed hub, undirected map", um, dhub, false},
+		{"weighting differs", &weighted, dhub, false},
+	} {
+		_, err := NewRouter(NewPool(nil, nil, time.Hour), RouterConfig{ShardMap: c.m, Hub: c.hub})
+		if (err == nil) != c.ok {
+			t.Errorf("%s: NewRouter error = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
 }
 
 // TestShardedHubLocalNoLeafRPC pins the hub tier's whole point: a pair

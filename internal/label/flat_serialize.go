@@ -13,18 +13,26 @@ import (
 //
 //	 0  magic "HDX2"
 //	 4  version u8 = 2
-//	 5  flags u8: bit0 directed, bit1 weighted, bit2 perm present
+//	 5  flags u8: bit0 directed, bit1 weighted, bit2 perm present,
+//	    bit3 range image, bit4 hub tier (range images only)
 //	 6  reserved u16 (zero)
 //	 8  n u32
 //	12  reserved u32 (zero)
-//	16  perm u32[n] if flags&4, zero-padded to an 8-byte boundary
+//	16  lo u32, hi u32 if flags&8: the owned rank range [lo, hi)
+//	 .  perm u32[n] if flags&4, zero-padded to an 8-byte boundary
 //	 .  out offsets i64[n+1]
 //	 .  in offsets i64[n+1] if directed
 //	 .  out entries (pivot u32, dist u32)[outCount]
 //	 .  in entries if directed
 //
+// A range image is one shard of a rank-partitioned index: the layout is
+// unchanged, but every row outside [lo, hi) is empty, so the image is a
+// valid FlatIndex whose owned rows equal the whole index's. ParseFlat
+// serves whole images only and ParseFlatRange range images only, so a
+// shard can never answer as if it held the whole index.
+//
 // The perm table and the label payload (offsets + entries) are the
-// FlatIndex arrays verbatim, so on a little-endian host ParseFlat serves
+// FlatIndex arrays verbatim, so on a little-endian host the parse serves
 // them in place: the returned index's arrays are views into the input
 // buffer (flat_cast.go), with no copy and no per-vertex allocation. Only
 // a big-endian host or a misaligned buffer takes the decode fallback,
@@ -33,137 +41,212 @@ const (
 	flatMagic      = "HDX2"
 	flatVersion    = 2
 	flatHeaderSize = 16
+	rangeExtSize   = 8
 
 	flagDirected = 1 << 0
 	flagWeighted = 1 << 1
 	flagPerm     = 1 << 2
 	knownFlags   = flagDirected | flagWeighted | flagPerm
+	// The range flags exist in v2 images only, never in HDX3.
+	flagRange = 1 << 3
+	flagHub   = 1 << 4
 )
+
+// RankRange is the owned rank interval [Lo, Hi) of a range image; Hub
+// marks the replicated top-rank tier, which always starts at rank 0.
+type RankRange struct {
+	Lo, Hi int32
+	Hub    bool
+}
+
+// FlatHeader is everything a v2 image's preamble records besides the
+// offset tables. Range is nil for a whole index.
+type FlatHeader struct {
+	N        int32
+	Directed bool
+	Weighted bool
+	Perm     []int32
+	Range    *RankRange
+}
 
 // Write serializes the flat index in the v2 format.
 func (f *FlatIndex) Write(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [flatHeaderSize]byte
-	copy(hdr[:4], flatMagic)
-	hdr[4] = flatVersion
-	flags := byte(0)
-	if f.Directed {
-		flags |= flagDirected
-	}
-	if f.Weighted {
-		flags |= flagWeighted
-	}
-	if f.Perm != nil {
-		flags |= flagPerm
-	}
-	hdr[5] = flags
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(f.N))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	h := FlatHeader{N: f.N, Directed: f.Directed, Weighted: f.Weighted, Perm: f.Perm}
+	if err := WriteFlatPreamble(bw, h, f.OutOffsets, f.InOffsets); err != nil {
 		return err
 	}
-	var b8 [8]byte
-	if f.Perm != nil {
-		if raw, ok := int32Bytes(f.Perm); ok {
-			// In-memory layout matches the format: emit the section in
-			// one write (bufio passes large writes straight through).
-			if _, err := bw.Write(raw); err != nil {
-				return err
-			}
-		} else {
-			for _, p := range f.Perm {
-				binary.LittleEndian.PutUint32(b8[:4], uint32(p))
-				if _, err := bw.Write(b8[:4]); err != nil {
-					return err
-				}
-			}
-		}
-		if len(f.Perm)%2 == 1 {
-			var pad [4]byte
-			if _, err := bw.Write(pad[:]); err != nil {
-				return err
-			}
-		}
-	}
-	writeOffsets := func(offsets []int64) error {
-		if raw, ok := int64Bytes(offsets); ok {
-			_, err := bw.Write(raw)
-			return err
-		}
-		for _, o := range offsets {
-			binary.LittleEndian.PutUint64(b8[:], uint64(o))
-			if _, err := bw.Write(b8[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	writeEntries := func(entries []Entry) error {
-		if raw, ok := entryBytes(entries); ok {
-			_, err := bw.Write(raw)
-			return err
-		}
-		for _, e := range entries {
-			binary.LittleEndian.PutUint32(b8[:4], uint32(e.Pivot))
-			binary.LittleEndian.PutUint32(b8[4:], e.Dist)
-			if _, err := bw.Write(b8[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := writeOffsets(f.OutOffsets); err != nil {
+	if err := WriteEntries(bw, f.OutEntries); err != nil {
 		return err
 	}
 	if f.Directed {
-		if err := writeOffsets(f.InOffsets); err != nil {
-			return err
-		}
-	}
-	if err := writeEntries(f.OutEntries); err != nil {
-		return err
-	}
-	if f.Directed {
-		if err := writeEntries(f.InEntries); err != nil {
+		if err := WriteEntries(bw, f.InEntries); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ParseFlat interprets buf as a v2 flat index image. The returned index
-// aliases buf: its perm, offset and entry arrays are views into it (O(1)
-// allocations, nothing copied), so buf must stay alive and unmodified for
-// as long as the index is used. When buf is a read-only mapping
-// (MmapFlat) the index therefore serves from the page cache with O(1)
-// heap. A section that is misaligned in buf, or any section on a
+// WriteFlatPreamble writes a v2 image's header, perm table and offset
+// tables (inOffsets only when directed, each N+1 long). The caller then
+// writes the out entries and, when directed, the in entries with
+// WriteEntries — from memory (FlatIndex.Write) or streamed from record
+// files (the shard builder). w should be buffered.
+func WriteFlatPreamble(w io.Writer, h FlatHeader, outOffsets, inOffsets []int64) error {
+	hdr := make([]byte, flatHeaderSize, flatHeaderSize+rangeExtSize)
+	copy(hdr[:4], flatMagic)
+	hdr[4] = flatVersion
+	flags := byte(0)
+	if h.Directed {
+		flags |= flagDirected
+	}
+	if h.Weighted {
+		flags |= flagWeighted
+	}
+	if h.Perm != nil {
+		flags |= flagPerm
+	}
+	if r := h.Range; r != nil {
+		flags |= flagRange
+		if r.Hub {
+			flags |= flagHub
+		}
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(r.Lo))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(r.Hi))
+	}
+	hdr[5] = flags
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(h.N))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	var b8 [8]byte
+	if h.Perm != nil {
+		if raw, ok := int32Bytes(h.Perm); ok {
+			// In-memory layout matches the format: emit the section in
+			// one write (bufio passes large writes straight through).
+			if _, err := w.Write(raw); err != nil {
+				return err
+			}
+		} else {
+			for _, p := range h.Perm {
+				binary.LittleEndian.PutUint32(b8[:4], uint32(p))
+				if _, err := w.Write(b8[:4]); err != nil {
+					return err
+				}
+			}
+		}
+		if len(h.Perm)%2 == 1 {
+			var pad [4]byte
+			if _, err := w.Write(pad[:]); err != nil {
+				return err
+			}
+		}
+	}
+	writeOffsets := func(offsets []int64) error {
+		if raw, ok := int64Bytes(offsets); ok {
+			_, err := w.Write(raw)
+			return err
+		}
+		for _, o := range offsets {
+			binary.LittleEndian.PutUint64(b8[:], uint64(o))
+			if _, err := w.Write(b8[:]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := writeOffsets(outOffsets); err != nil {
+		return err
+	}
+	if h.Directed {
+		return writeOffsets(inOffsets)
+	}
+	return nil
+}
+
+// WriteEntries appends label entries to a v2 image's entry section.
+func WriteEntries(w io.Writer, entries []Entry) error {
+	if raw, ok := entryBytes(entries); ok {
+		_, err := w.Write(raw)
+		return err
+	}
+	var b8 [8]byte
+	for _, e := range entries {
+		binary.LittleEndian.PutUint32(b8[:4], uint32(e.Pivot))
+		binary.LittleEndian.PutUint32(b8[4:], e.Dist)
+		if _, err := w.Write(b8[:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ParseFlat interprets buf as a whole v2 flat index image. The returned
+// index aliases buf: its perm, offset and entry arrays are views into it
+// (O(1) allocations, nothing copied), so buf must stay alive and
+// unmodified for as long as the index is used. When buf is a read-only
+// mapping (MmapFlat) the index therefore serves from the page cache with
+// O(1) heap. A section that is misaligned in buf, or any section on a
 // big-endian host, is decoded into a fresh slice instead. The header,
 // the offset tables and every label are validated, so a corrupt image
-// fails here rather than faulting at query time.
+// fails here rather than faulting at query time. A range (shard) image
+// is refused: its unowned rows are empty and would answer Infinity.
 func ParseFlat(buf []byte) (*FlatIndex, error) {
+	f, _, err := parseFlat(buf, false)
+	return f, err
+}
+
+// ParseFlatRange interprets buf as a range image, one shard of a
+// rank-partitioned index, with ParseFlat's aliasing and validation. It
+// additionally checks that every row outside the owned range is empty,
+// and refuses a whole-index image.
+func ParseFlatRange(buf []byte) (*FlatIndex, RankRange, error) {
+	return parseFlat(buf, true)
+}
+
+func parseFlat(buf []byte, wantRange bool) (*FlatIndex, RankRange, error) {
+	var rr RankRange
+	fail := func(format string, args ...any) (*FlatIndex, RankRange, error) {
+		return nil, rr, fmt.Errorf(format, args...)
+	}
 	if len(buf) < flatHeaderSize {
-		return nil, fmt.Errorf("label: flat image truncated (%d bytes)", len(buf))
+		return fail("label: flat image truncated (%d bytes)", len(buf))
 	}
 	if string(buf[:4]) != flatMagic {
 		if IsCompactImage(buf) {
 			// The delta-coded v3 format must be decoded, never aliased,
 			// so it cannot serve the zero-copy/mmap path.
-			return nil, fmt.Errorf("label: %q is a compact (HDX3) image; decode it with ParseCompact (mmap is unavailable for compact files)", buf[:4])
+			return fail("label: %q is a compact (HDX3) image; decode it with ParseCompact (mmap is unavailable for compact files)", buf[:4])
 		}
-		if string(buf[:4]) == "HDIX" {
+		switch string(buf[:4]) {
+		case "HDIX":
 			// The first release's per-vertex stream; its reader is gone.
-			return nil, fmt.Errorf("label: %q is a v1 index; v1 index files are no longer readable; rebuild with hopdb-build", buf[:4])
+			return fail("label: %q is a v1 index; v1 index files are no longer readable; rebuild with hopdb-build", buf[:4])
+		case "HSH1":
+			// The first shard format; shards are range images now.
+			return fail("label: %q is an old shard file; HSH1 shard files are no longer readable; rebuild with hopdb-build -shards", buf[:4])
 		}
-		return nil, fmt.Errorf("label: bad flat magic %q", buf[:4])
+		return fail("label: bad flat magic %q", buf[:4])
 	}
 	if buf[4] != flatVersion {
-		return nil, fmt.Errorf("label: unsupported flat version %d", buf[4])
+		return fail("label: unsupported flat version %d", buf[4])
 	}
 	flags := buf[5]
-	if flags&^byte(knownFlags) != 0 {
-		return nil, fmt.Errorf("label: unknown flat flags %#x", flags)
+	if flags&^byte(knownFlags|flagRange|flagHub) != 0 {
+		return fail("label: unknown flat flags %#x", flags)
 	}
 	if binary.LittleEndian.Uint16(buf[6:8]) != 0 || binary.LittleEndian.Uint32(buf[12:16]) != 0 {
-		return nil, fmt.Errorf("label: nonzero reserved flat header bytes")
+		return fail("label: nonzero reserved flat header bytes")
+	}
+	isRange := flags&flagRange != 0
+	if isRange && !wantRange {
+		return fail("label: this is a shard (rank-range) image, not a whole index; open it with hopdb.OpenShard or hopdb-serve -shard")
+	}
+	if !isRange && wantRange {
+		return fail("label: not a shard image (a whole v2 index); open it with hopdb.Open or hopdb-serve -idx")
+	}
+	if flags&flagHub != 0 && !isRange {
+		return fail("label: hub flag on a whole-index image")
 	}
 	n := int64(binary.LittleEndian.Uint32(buf[8:12]))
 	f := &FlatIndex{
@@ -172,14 +255,29 @@ func ParseFlat(buf []byte) (*FlatIndex, error) {
 		N:        int32(n),
 	}
 	if int64(f.N) != n {
-		return nil, fmt.Errorf("label: corrupt vertex count %d", n)
+		return fail("label: corrupt vertex count %d", n)
 	}
 	size := int64(len(buf))
 	pos := int64(flatHeaderSize)
+	if isRange {
+		if size < pos+rangeExtSize {
+			return fail("label: flat image truncated in rank range")
+		}
+		lo := int64(binary.LittleEndian.Uint32(buf[pos:]))
+		hi := int64(binary.LittleEndian.Uint32(buf[pos+4:]))
+		pos += rangeExtSize
+		if lo > hi || hi > n {
+			return fail("label: rank range [%d,%d) outside [0,%d)", lo, hi, n)
+		}
+		rr = RankRange{Lo: int32(lo), Hi: int32(hi), Hub: flags&flagHub != 0}
+		if rr.Hub && rr.Lo != 0 {
+			return fail("label: hub range must start at rank 0, got %d", lo)
+		}
+	}
 	if flags&flagPerm != 0 {
 		permBytes := 4 * n
 		if pos+permBytes > size {
-			return nil, fmt.Errorf("label: flat image truncated in perm table")
+			return fail("label: flat image truncated in perm table")
 		}
 		f.Perm = castInt32s(buf[pos : pos+permBytes])
 		pos += permBytes
@@ -190,7 +288,7 @@ func ParseFlat(buf []byte) (*FlatIndex, error) {
 		seen := make([]uint64, (n+63)/64)
 		for v, r := range f.Perm {
 			if int64(r) < 0 || int64(r) >= n || seen[r>>6]&(1<<(uint(r)&63)) != 0 {
-				return nil, fmt.Errorf("label: perm is not a permutation at vertex %d", v)
+				return fail("label: perm is not a permutation at vertex %d", v)
 			}
 			seen[r>>6] |= 1 << (uint(r) & 63)
 		}
@@ -218,15 +316,20 @@ func ParseFlat(buf []byte) (*FlatIndex, error) {
 		if prev > (size-pos)/8 {
 			return nil, fmt.Errorf("label: %s claims %d entries beyond file size", name, prev)
 		}
+		// Offsets are monotone from 0, so these two pins empty every
+		// row outside the owned range.
+		if isRange && (offsets[rr.Lo] != 0 || offsets[rr.Hi] != prev) {
+			return nil, fmt.Errorf("label: %s has rows outside the owned range [%d,%d)", name, rr.Lo, rr.Hi)
+		}
 		return offsets, nil
 	}
 	var err error
 	if f.OutOffsets, err = readSide("Lout"); err != nil {
-		return nil, err
+		return nil, rr, err
 	}
 	if f.Directed {
 		if f.InOffsets, err = readSide("Lin"); err != nil {
-			return nil, err
+			return nil, rr, err
 		}
 	} else {
 		f.InOffsets = f.OutOffsets
@@ -237,7 +340,7 @@ func ParseFlat(buf []byte) (*FlatIndex, error) {
 		inCount = f.InOffsets[n]
 	}
 	if size-pos != 8*(outCount+inCount) {
-		return nil, fmt.Errorf("label: flat image size mismatch: %d entry bytes for %d entries",
+		return fail("label: flat image size mismatch: %d entry bytes for %d entries",
 			size-pos, outCount+inCount)
 	}
 	f.OutEntries = castEntries(buf[pos : pos+8*outCount])
@@ -253,9 +356,9 @@ func ParseFlat(buf []byte) (*FlatIndex, error) {
 	// invariants (the merge fast path, the bit-parallel transform). One
 	// sequential allocation-free scan of the payload.
 	if err := f.Validate(); err != nil {
-		return nil, err
+		return nil, rr, err
 	}
-	return f, nil
+	return f, rr, nil
 }
 
 // LoadFlatFile reads a v2 flat index into one file-sized heap buffer and

@@ -1,8 +1,8 @@
 // Streaming shard builder: consumes the external builder's sorted
-// (owner, pivot, dist) record files and emits HSH1 shard files plus
-// the shard map, holding only per-rank entry counts in memory — never
-// the label entries themselves — so shard construction works for
-// indexes larger than RAM.
+// (owner, pivot, dist) record files and emits shard files (v2 range
+// images) plus the shard map, holding only per-rank counts and offsets
+// in memory — never the label entries themselves — so shard
+// construction works for indexes larger than RAM.
 package shard
 
 import (
@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/extio"
+	"repro/internal/label"
 )
 
 // BuildConfig configures WriteShards.
@@ -122,15 +123,14 @@ func WriteShards(lf *core.LabelFiles, cfg BuildConfig) (*Map, error) {
 		defer inStream.close()
 	}
 
-	emit := func(file string, rlo, rhi int32, isHub bool) error {
-		return emitShard(filepath.Join(cfg.Dir, file), lf, rlo, rhi, isHub,
-			outCounts, inCounts, outStream, inStream)
+	emit := func(file string, rr label.RankRange) error {
+		return emitShard(filepath.Join(cfg.Dir, file), lf, rr, outCounts, inCounts, outStream, inStream)
 	}
-	if err := emit(m.HubFile, 0, hub, true); err != nil {
+	if err := emit(m.HubFile, label.RankRange{Lo: 0, Hi: hub, Hub: true}); err != nil {
 		return nil, err
 	}
 	for _, r := range m.Shards {
-		if err := emit(r.File, r.Lo, r.Hi, false); err != nil {
+		if err := emit(r.File, label.RankRange{Lo: r.Lo, Hi: r.Hi}); err != nil {
 			return nil, err
 		}
 	}
@@ -148,15 +148,18 @@ func WriteShards(lf *core.LabelFiles, cfg BuildConfig) (*Map, error) {
 	return m, nil
 }
 
-// emitShard writes one HSH1 file for ranks [rlo, rhi), consuming the
-// region's records from the (monotonically advancing) streams.
-func emitShard(path string, lf *core.LabelFiles, rlo, rhi int32, isHub bool,
+// emitShard writes the range image of rr, consuming the region's
+// records from the (monotonically advancing) streams. The offset tables
+// span all N ranks, with every row outside rr empty.
+func emitShard(path string, lf *core.LabelFiles, rr label.RankRange,
 	outCounts, inCounts []int64, outStream, inStream *recStream) error {
-	rows := int(rhi - rlo)
 	offs := func(counts []int64) []int64 {
-		o := make([]int64, rows+1)
-		for i := 0; i < rows; i++ {
-			o[i+1] = o[i] + counts[rlo+int32(i)]
+		o := make([]int64, lf.N+1)
+		for r := rr.Lo; r < lf.N; r++ {
+			o[r+1] = o[r]
+			if r < rr.Hi {
+				o[r+1] += counts[r]
+			}
 		}
 		return o
 	}
@@ -174,22 +177,28 @@ func emitShard(path string, lf *core.LabelFiles, rlo, rhi int32, isHub bool,
 		f.Close()
 		return err
 	}
-	if err := writePreamble(w, lf.N, rlo, rhi, lf.Directed, lf.Weighted, isHub, lf.Perm, outOff, inOff); err != nil {
+	h := label.FlatHeader{N: lf.N, Directed: lf.Directed, Weighted: lf.Weighted, Perm: lf.Perm, Range: &rr}
+	if err := label.WriteFlatPreamble(w, h, outOff, inOff); err != nil {
 		return fail(err)
 	}
+	buf := make([]label.Entry, 0, 4096)
 	copyRegion := func(s *recStream, want int64) error {
 		var copied int64
 		for {
 			rec, ok := s.peek()
-			if !ok || rec.K1 >= rhi {
+			if !ok || rec.K1 >= rr.Hi {
 				break
 			}
-			if rec.K1 < rlo {
-				return fmt.Errorf("shard: record for rank %d out of order in region [%d,%d)", rec.K1, rlo, rhi)
+			if rec.K1 < rr.Lo {
+				return fmt.Errorf("shard: record for rank %d out of order in region [%d,%d)", rec.K1, rr.Lo, rr.Hi)
 			}
-			if err := writeEntry(w, rec.K2, rec.V); err != nil {
-				return err
+			if len(buf) == cap(buf) {
+				if err := label.WriteEntries(w, buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
 			}
+			buf = append(buf, label.Entry{Pivot: rec.K2, Dist: rec.V})
 			copied++
 			s.next()
 		}
@@ -197,15 +206,17 @@ func emitShard(path string, lf *core.LabelFiles, rlo, rhi int32, isHub bool,
 			return err
 		}
 		if copied != want {
-			return fmt.Errorf("shard: region [%d,%d) wrote %d entries, counted %d", rlo, rhi, copied, want)
+			return fmt.Errorf("shard: region [%d,%d) wrote %d entries, counted %d", rr.Lo, rr.Hi, copied, want)
 		}
-		return nil
+		err := label.WriteEntries(w, buf)
+		buf = buf[:0]
+		return err
 	}
-	if err := copyRegion(outStream, outOff[rows]); err != nil {
+	if err := copyRegion(outStream, outOff[lf.N]); err != nil {
 		return fail(err)
 	}
 	if inStream != nil {
-		if err := copyRegion(inStream, inOff[rows]); err != nil {
+		if err := copyRegion(inStream, inOff[lf.N]); err != nil {
 			return fail(err)
 		}
 	}

@@ -8,10 +8,11 @@
 // can merge two fetched rows from different shards locally.
 //
 // The package provides the shard map (rank-range directory, JSON), the
-// HSH1 shard file format, a Querier-compatible single-shard backend,
-// the row-fetch wire codec for scatter-gather, and the streaming
-// builder that emits shard files straight from the external builder's
-// sorted record files without materializing the full index in RAM.
+// shard file (a v2 flat image with a rank range), a Querier-compatible
+// single-shard backend, the row-fetch wire codec for scatter-gather,
+// and the streaming builder that emits shard files straight from the
+// external builder's sorted record files without materializing the
+// full index in RAM.
 package shard
 
 import (

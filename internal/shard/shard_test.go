@@ -1,12 +1,16 @@
 package shard_test
 
 // Unit tests for the shard package through its public surface: the hub
-// sizing rule, the shard map's ownership/validation contract, the HSH1
+// sizing rule, the shard map's ownership/validation contract, the shard
 // file round trip (via BuildShards, so the external record streams are
-// exercised too), the row-fetch codec, and the querier error semantics.
+// exercised too), in-place loading, the row-fetch codec, and the querier
+// error semantics.
 
 import (
+	"math"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -257,5 +261,44 @@ func TestShardFilesReassembleIndex(t *testing.T) {
 				t.Fatalf("Lookup of a hub pair on a leaf = %v, want an ownership error", err)
 			}
 		})
+	}
+}
+
+// TestShardLoadAllocations asserts that a shard file is served in place:
+// the file-sized read buffer is the only label-sized allocation Load
+// makes, as for a whole v2 index (label.TestFlatLoadAllocations).
+func TestShardLoadAllocations(t *testing.T) {
+	g, err := gen.GLP(gen.DefaultGLP(3000, 4, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	m, _, err := hopdb.BuildShards(g, hopdb.Options{}, hopdb.ShardConfig{Shards: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{m.HubFile, m.Shards[0].File} {
+		path := filepath.Join(dir, file)
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The fewest bytes over a few loads, so a stray background
+		// allocation cannot fail the test.
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err := shard.Load(path)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(s)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if limit := uint64(st.Size()) + 8<<10; least > limit {
+			t.Errorf("Load(%s) allocates %d bytes for a %d-byte file, want <= file size + 8 KiB", file, least, st.Size())
+		}
 	}
 }

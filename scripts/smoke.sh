@@ -296,6 +296,12 @@ echo "== shards: cutting the index into 4 rank shards plus a hub tier"
 for f in hub.sidx leaf0.sidx leaf1.sidx leaf2.sidx leaf3.sidx shard.json; do
   [ -f "$tmp/shards/$f" ] || { echo "shard build did not write $f" >&2; exit 1; }
 done
+# A leaf is a range image: opening it as a whole index must fail by name
+# instead of answering Infinity for every pair it does not own.
+if "$tmp/bin/hopdb-query" -idx "$tmp/shards/leaf0.sidx" -q "$tmp/pairs.txt" >/dev/null 2>"$tmp/leafq.err"; then
+  echo "hopdb-query accepted a shard file as a whole index" >&2; exit 1
+fi
+grep -q 'hopdb-serve -shard' "$tmp/leafq.err" || { echo "hopdb-query did not name the shard opener: $(cat "$tmp/leafq.err")" >&2; exit 1; }
 
 echo "== serving the leaves (leaf0 twice) behind a scatter-gather router"
 SPR=$((PORT+10))
