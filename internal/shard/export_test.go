@@ -1,4 +1,4 @@
 package shard
 
-// Parse exposes the HSH1 parser to the external fuzz target.
+// Parse exposes the shard image parser to the external fuzz target.
 var Parse = parse

@@ -68,9 +68,18 @@ func Load(path string) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, rr, err := label.ParseFlatRange(b)
+	s, err := parse(b)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %s: %w", path, err)
+	}
+	return s, nil
+}
+
+// parse serves a shard image in place: the returned Shard aliases b.
+func parse(b []byte) (*Shard, error) {
+	f, rr, err := label.ParseFlatRange(b)
+	if err != nil {
+		return nil, err
 	}
 	s := &Shard{
 		Directed:    f.Directed,
