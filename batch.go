@@ -2,9 +2,7 @@ package hopdb
 
 import (
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/label"
 	"repro/internal/wire"
 )
 
@@ -13,13 +11,15 @@ import (
 type QueryPair = wire.QueryPair
 
 // DistanceBatch answers many queries, sharding them across workers
-// goroutines (<= 1 runs serially). Queries run over the immutable flat
-// CSR labels (or the bit-parallel index when enabled), which are
-// read-only during queries, so concurrent access is safe — including on
-// a memory-mapped index from Open with WithMmap; results[i] corresponds
-// to pairs[i], with Infinity for unreachable pairs. Throughput-oriented
-// callers (batch analytics, betweenness estimation) should prefer this
-// over a Distance loop.
+// goroutines (<= 1 runs serially). Queries run over one immutable label
+// epoch (or the accelerated kernel when enabled), loaded once for the
+// whole batch, so concurrent access is safe — including on a
+// memory-mapped index from Open with WithMmap, and while a writer
+// streams updates into an index opened WithUpdates: the batch answers
+// from one consistent graph state. results[i] corresponds to pairs[i],
+// with Infinity for unreachable pairs. Throughput-oriented callers
+// (batch analytics, betweenness estimation) should prefer this over a
+// Distance loop.
 func (x *Index) DistanceBatch(pairs []QueryPair, workers int) []uint32 {
 	return x.DistanceBatchInto(make([]uint32, len(pairs)), pairs, workers)
 }
@@ -28,143 +28,20 @@ func (x *Index) DistanceBatch(pairs []QueryPair, workers int) []uint32 {
 // results slice (len(results) must be >= len(pairs)), so throughput
 // servers can recycle buffers across requests instead of allocating per
 // batch. It returns results[:len(pairs)].
-//
-// When the compact kernel serves point queries, large batches take a
-// locality-scheduled path: pairs are processed in source-rank order (so
-// consecutive queries reuse the same out-row while it is cache-hot) and
-// each worker prefetches the next pair's label rows while the current
-// merge runs. Answers and their placement in results are identical to
-// the plain path.
 func (x *Index) DistanceBatchInto(results []uint32, pairs []QueryPair, workers int) []uint32 {
-	if ck := x.ck.Load(); ck != nil && x.bp.Load() == nil && len(pairs) >= compactBatchMin {
-		return x.compactBatchInto(results, pairs, workers, ck)
+	var dist func(s, t int32) uint32
+	if bp := x.bp.Load(); bp != nil {
+		dist = bp.Distance
+	} else if ck := x.ck.Load(); ck != nil {
+		dist = ck.Distance
+	} else {
+		dist = x.eng.Current().Distance
 	}
 	return batchInto(results, pairs, workers, func(pairs []QueryPair, results []uint32) {
 		for i, p := range pairs {
-			results[i], _ = x.Distance(p.S, p.T)
+			results[i] = dist(p.S, p.T)
 		}
 	})
-}
-
-// compactBatchMin is the batch size below which the scheduling pass that
-// buys source-row locality costs more than the cache misses it avoids.
-const compactBatchMin = 64
-
-// batchBuckets is the number of source-rank buckets the scheduler
-// distributes a batch over. Each bucket spans a 1/batchBuckets slice of
-// the packed key array, so pairs in the same bucket read label rows from
-// the same small region even though the bucket itself is unordered.
-const batchBuckets = 256
-
-// batchScratch is the pooled working state of one scheduled batch: the
-// bucket-ordered permutation and the per-pair precomputed rank ids
-// (rank translation costs two dependent loads per id, so it is paid once
-// here instead of in the query, the prefetch, and the sort).
-type batchScratch struct {
-	perm   []int32
-	rs, rt []int32
-	counts [batchBuckets + 1]int32
-}
-
-// batchScratchPool recycles scheduler scratch across batches so the
-// scheduled path stays allocation-free at steady state.
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// prefetchSink consumes the prefetch probe values so the loads cannot be
-// eliminated as dead. The guard value makes the store essentially never
-// taken, and it is atomic for the rare collision, so concurrent workers
-// remain race-detector clean.
-var prefetchSink atomic.Uint32
-
-// compactBatchInto runs a batch through the compact kernel in coarse
-// source-rank order with next-pair prefetch, scattering each answer back
-// to its original position. Ordering is a counting sort into
-// batchBuckets rank ranges — O(pairs) with two cheap passes, where a
-// comparison sort on a batch this size would cost more than the locality
-// it buys.
-func (x *Index) compactBatchInto(results []uint32, pairs []QueryPair, workers int, c *label.CompactIndex) []uint32 {
-	results = results[:len(pairs)]
-	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.perm) < len(pairs) {
-		sc.perm = make([]int32, len(pairs))
-		sc.rs = make([]int32, len(pairs))
-		sc.rt = make([]int32, len(pairs))
-	}
-	perm := sc.perm[:len(pairs)]
-	rs := sc.rs[:len(pairs)]
-	rt := sc.rt[:len(pairs)]
-	counts := &sc.counts
-	*counts = [batchBuckets + 1]int32{}
-	// Pass 1: resolve rank ids (invalid pairs park at rs = -1) and count
-	// bucket occupancy. Buckets partition rank space evenly, so bucket k
-	// holds sources whose packed rows live in the k-th slice of OutKeys.
-	n64 := uint64(c.N)
-	for i, p := range pairs {
-		if p.S < 0 || p.T < 0 || p.S >= c.N || p.T >= c.N {
-			rs[i] = -1
-			counts[batchBuckets]++
-			continue
-		}
-		r := c.Rank(p.S)
-		rs[i] = r
-		rt[i] = c.Rank(p.T)
-		counts[uint64(r)*batchBuckets/n64]++
-	}
-	// Pass 2: prefix-sum the counts and scatter pair ids into bucket
-	// order (invalid pairs land in the trailing pseudo-bucket).
-	var sum int32
-	for b := range counts {
-		counts[b], sum = sum, sum+counts[b]
-	}
-	for i := range pairs {
-		b := uint64(batchBuckets)
-		if rs[i] >= 0 {
-			b = uint64(rs[i]) * batchBuckets / n64
-		}
-		perm[counts[b]] = int32(i)
-		counts[b]++
-	}
-	run := func(ids []int32) {
-		var sink uint32
-		for k, id := range ids {
-			if k+1 < len(ids) {
-				if nxt := ids[k+1]; rs[nxt] >= 0 {
-					sink ^= c.PrefetchRanked(rs[nxt], rt[nxt])
-				}
-			}
-			if rs[id] < 0 {
-				results[id] = Infinity
-				continue
-			}
-			results[id] = c.DistanceRanked(rs[id], rt[id])
-		}
-		if sink == 0x9e3779b9 {
-			prefetchSink.Store(sink)
-		}
-	}
-	if workers > len(perm) {
-		workers = len(perm)
-	}
-	if workers <= 1 {
-		run(perm)
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(perm) + workers - 1) / workers
-		for lo := 0; lo < len(perm); lo += chunk {
-			hi := lo + chunk
-			if hi > len(perm) {
-				hi = len(perm)
-			}
-			wg.Add(1)
-			go func(ids []int32) {
-				defer wg.Done()
-				run(ids)
-			}(perm[lo:hi])
-		}
-		wg.Wait()
-	}
-	batchScratchPool.Put(sc)
-	return results
 }
 
 // batchInto is the shared batch skeleton behind every local backend's

@@ -26,7 +26,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/islabel"
-	"repro/internal/landmark"
 	"repro/internal/order"
 	"repro/internal/pll"
 	"repro/internal/sp"
@@ -378,39 +377,4 @@ func BenchmarkGenerators(b *testing.B) {
 // TestMain keeps the benchmark temp space tidy when run via go test.
 func TestMain(m *testing.M) {
 	os.Exit(m.Run())
-}
-
-// BenchmarkLandmarkOracle contrasts the related-work landmark oracle
-// (paper Section 2.3, citing Chen et al.) against the exact 2-hop index:
-// the estimate is fast but inexact, and the exact refinement falls back
-// to bidirectional search.
-func BenchmarkLandmarkOracle(b *testing.B) {
-	g := mustDataset(b, "enron")
-	oracle, _, err := landmark.Build(g, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hop, _, err := core.Build(g, core.Options{Method: core.Hybrid})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pairs := randPairs(g.N(), 1024, 5)
-	b.Run("landmark-estimate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			oracle.Estimate(p[0], p[1])
-		}
-	})
-	b.Run("landmark-exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			oracle.Distance(p[0], p[1])
-		}
-	})
-	b.Run("hopdb", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			hop.Distance(p[0], p[1])
-		}
-	})
 }

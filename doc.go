@@ -57,7 +57,10 @@
 // Open serves it in place from a single file-sized read, and
 // Open(path, WithMmap()) serves it from the mapping itself: the payload
 // is never copied, and a mapped index lives in the page cache with O(1)
-// heap.
+// heap. Every in-memory index reads those arrays as the base of a label
+// epoch (internal/dynamic); Open(path, WithGraph(g), WithUpdates(...))
+// returns the same Index with Updatable on top, whose edge updates
+// publish copy-on-write successor epochs.
 //
 // # Beyond distances
 //

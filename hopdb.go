@@ -1,14 +1,16 @@
 package hopdb
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitparallel"
 	"repro/internal/core"
 	"repro/internal/diskidx"
+	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/order"
@@ -124,53 +126,60 @@ type Options struct {
 // Stats reports what construction did; see core.BuildStats.
 type Stats = core.BuildStats
 
-// Index answers exact point-to-point distance queries. Queries are served
-// from a flat CSR label representation (one contiguous entries array per
-// side); the slice-of-slices form is kept only as a read-only view for
+// Index answers exact point-to-point distance queries. Every in-memory
+// regime — Build, a heap or mmap Open, and Open with WithUpdates — serves
+// through this one type: the labels are the current epoch of a
+// maintenance engine (internal/dynamic), a flat CSR base plus a
+// copy-on-write overlay that stays empty unless the index was opened for
+// updates. The slice-of-slices form is kept only as a read-only view for
 // analysis tooling.
 //
 // # Concurrency
 //
 // An Index is safe for concurrent use: Distance, DistanceBatch, Path, and
 // the size accessors may be called from any number of goroutines, because
-// they only read the immutable label arrays (heap-allocated or mmap'd).
-// EnableBitParallel and EnableCompact may even be invoked while queries
-// are in flight — each accelerated kernel is published atomically, so a
-// concurrent query observes either the plain merge-join or the
-// accelerated path, all of which return identical exact distances. The
-// one ordering requirement is AttachGraph: it must complete before any
-// concurrent Path or EnableBitParallel call, since the graph pointer
-// itself is not synchronized.
+// they only read an immutable epoch (heap-allocated or mmap'd), loaded
+// once per query or per batch. EnableBitParallel and EnableCompact may
+// even be invoked while queries are in flight — each accelerated kernel
+// is published atomically, so a concurrent query observes either the
+// plain merge-join or the accelerated path, all of which return identical
+// exact distances. The one ordering requirement is AttachGraph: it must
+// complete before any concurrent Path or EnableBitParallel call, since
+// the graph pointer itself is not synchronized.
 type Index struct {
-	flat *label.FlatIndex // query-serving CSR labels
-	g    *Graph           // retained for Path; may be nil after Load
+	// eng owns the published label epoch; on an index opened WithUpdates
+	// it is also the writer.
+	eng *dynamic.Index
+	g   *Graph // retained for Path; may be nil after Load
 	// bp is the optional bit-parallel acceleration, published by a
-	// single swap once built.
+	// single swap once built. Read-only indexes only.
 	//hopdb:atomic
 	bp atomic.Pointer[bitparallel.Index]
 	// ck is the optional branch-free packed kernel, published the same
 	// way.
 	//hopdb:atomic
 	ck atomic.Pointer[label.CompactIndex]
-
-	// labels is a lazily built read-only view aliasing flat's arrays,
-	// materialized only for tooling that wants the nested form; building
-	// it eagerly would cost N slice headers (and page in the whole
-	// offsets table of an mmap'd index) before the first query.
-	viewOnce sync.Once
-	labels   *label.Index
 }
 
-// newIndex wraps a frozen label set in the public facade.
+// newIndex wraps a frozen label set in the public facade, read-only.
 func newIndex(flat *label.FlatIndex, g *Graph) *Index {
-	return &Index{flat: flat, g: g}
+	return &Index{eng: dynamic.Static(flat), g: g}
 }
 
-// view lazily materializes the nested form.
-func (x *Index) view() *label.Index {
-	x.viewOnce.Do(func() { x.labels = x.flat.View() })
-	return x.labels
-}
+// flat returns the labels as one CSR: the open-time arrays on a
+// read-only index, a materialisation of the current epoch on an
+// updatable one.
+func (x *Index) flat() *label.FlatIndex { return x.eng.Current().Flat() }
+
+// view materializes the nested form for the tooling that wants it: N
+// slice headers per side aliasing the labels' arrays, built per call so
+// an index never pays for them unless asked.
+func (x *Index) view() *label.Index { return x.flat().View() }
+
+// errUpdatable is what the accelerators return on an index opened
+// WithUpdates: their images are built once from the labels, and the next
+// edge update would leave them stale.
+var errUpdatable = errors.New("hopdb: accelerated kernels serve read-only indexes; this one was opened WithUpdates")
 
 // Checkpoint errors, re-exported from the construction engine for
 // errors.Is.
@@ -238,26 +247,32 @@ func (x *Index) Distance(s, t int32) (uint32, bool) {
 	} else if ck := x.ck.Load(); ck != nil {
 		d = ck.Distance(s, t)
 	} else {
-		d = x.flat.Distance(s, t)
+		d = x.eng.Current().Distance(s, t)
 	}
 	return d, d != Infinity
 }
 
 // N returns the number of indexed vertices.
-func (x *Index) N() int32 { return x.flat.N }
+func (x *Index) N() int32 { return x.eng.N() }
 
 // Entries returns the number of non-trivial label entries.
-func (x *Index) Entries() int64 { return x.flat.Entries() }
+func (x *Index) Entries() int64 { return x.eng.Current().Entries() }
 
 // AvgLabel returns the average label entries per vertex.
-func (x *Index) AvgLabel() float64 { return x.flat.AvgLabel() }
+func (x *Index) AvgLabel() float64 {
+	if x.N() == 0 {
+		return 0
+	}
+	return float64(x.Entries()) / float64(x.N())
+}
 
 // SizeBytes returns the serialized label size in bytes.
-func (x *Index) SizeBytes() int64 { return x.flat.SizeBytes() }
+func (x *Index) SizeBytes() int64 { return x.eng.Current().SizeBytes() }
 
 // Labels exposes the underlying label index for analysis tooling
-// (coverage statistics, serialization formats). It is a read-only view
-// aliasing the flat arrays; mutating it corrupts the index.
+// (coverage statistics, serialization formats). It is a read-only view,
+// built per call, aliasing the flat arrays; mutating it corrupts the
+// index.
 func (x *Index) Labels() *label.Index { return x.view() }
 
 // EnableBitParallel folds the top-ranked hub labels into bit-parallel
@@ -269,6 +284,9 @@ func (x *Index) Labels() *label.Index { return x.view() }
 // published with one atomic store, so in-flight Distance calls never see
 // a half-built structure.
 func (x *Index) EnableBitParallel(roots int) error {
+	if x.eng.Updatable() {
+		return errUpdatable
+	}
 	if x.g == nil {
 		return fmt.Errorf("hopdb: bit-parallel transform needs the graph; unavailable on a loaded index")
 	}
@@ -296,9 +314,13 @@ func (x *Index) EnableBitParallel(roots int) error {
 // leaves the kernel off (type-assert the Querier to *Index). Like
 // EnableBitParallel, it may be called while queries are in flight: the
 // packed kernel is published with one atomic store. When bit-parallel
-// acceleration is also enabled, it takes precedence.
+// acceleration is also enabled, it takes precedence. Both accelerators
+// refuse an index opened WithUpdates.
 func (x *Index) EnableCompact() error {
-	ck, ok := label.CompactFrom(x.flat)
+	if x.eng.Updatable() {
+		return errUpdatable
+	}
+	ck, ok := label.CompactFrom(x.flat())
 	if !ok {
 		return fmt.Errorf("hopdb: labels exceed the compact kernel's packed fields (distance > %d or vertices > %d)",
 			255, 1<<24-1)
@@ -309,19 +331,9 @@ func (x *Index) EnableCompact() error {
 
 // Save writes the index to path in the v2 flat binary format, whose label
 // payload is the CSR arrays verbatim (loadable with Open, or
-// memory-mapped with Open(path, WithMmap())).
-func (x *Index) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := x.flat.Write(f); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	return f.Close()
-}
+// memory-mapped with Open(path, WithMmap())). An updatable index writes
+// its current epoch, so a patched index reopens without a rebuild.
+func (x *Index) Save(path string) error { return x.save(path, (*label.FlatIndex).Write) }
 
 // SaveCompact writes the index to path in the v3 compact binary format:
 // per-row delta-coded varint entries, typically 2-4x smaller than the v2
@@ -329,11 +341,17 @@ func (x *Index) Save(path string) error {
 // cold storage — Open accepts it (decoding it into memory), but it
 // cannot be memory-mapped (WithMmap needs the v2 flat layout).
 func (x *Index) SaveCompact(path string) error {
+	return x.save(path, (*label.FlatIndex).WriteCompact)
+}
+
+// save writes the current labels to path with write, removing the file
+// when writing fails.
+func (x *Index) save(path string, write func(*label.FlatIndex, io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := x.flat.WriteCompact(f); err != nil {
+	if err := write(x.flat(), f); err != nil {
 		f.Close()
 		os.Remove(path)
 		return err
@@ -341,44 +359,27 @@ func (x *Index) SaveCompact(path string) error {
 	return f.Close()
 }
 
-// loadIndex is the heap loader behind Open: one read of the whole file,
+// readFlat is the heap loader behind Open: one read of the whole file,
 // then a v3 compact image is delta-decoded into fresh arrays and anything
 // else goes to label.ParseFlat, which serves a v2 flat image in place
 // (the index's arrays are views into the read buffer) and names the
 // format in its error otherwise — the first release's v1 files included,
 // which are no longer readable, and shard files, which open with
-// OpenShard. Path reconstruction and bit-parallel
-// transformation are unavailable until the graph is attached (WithGraph /
-// AttachGraph).
-func loadIndex(path string) (*Index, error) {
+// OpenShard.
+func readFlat(path string) (*label.FlatIndex, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var flat *label.FlatIndex
 	if label.IsCompactImage(buf) {
-		flat, err = label.ParseCompact(buf)
-	} else {
-		flat, err = label.ParseFlat(buf)
+		return label.ParseCompact(buf)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return newIndex(flat, nil), nil
-}
-
-// loadIndexFlat is the mmap loader behind Open(path, WithMmap()).
-func loadIndexFlat(path string) (*Index, error) {
-	flat, err := label.MmapFlat(path)
-	if err != nil {
-		return nil, err
-	}
-	return newIndex(flat, nil), nil
+	return label.ParseFlat(buf)
 }
 
 // Close releases resources held by a loaded index (the mapping behind an
 // index opened WithMmap). It is a no-op for built or heap-loaded indexes.
-func (x *Index) Close() error { return x.flat.Close() }
+func (x *Index) Close() error { return x.eng.Current().Base().Close() }
 
 // AttachGraph re-associates the original graph with a loaded index,
 // enabling Path and EnableBitParallel. It must complete before the index

@@ -108,9 +108,10 @@ type Options struct {
 	InitialSeq int64
 }
 
-// Index is a 2-hop label index that accepts online edge updates while
-// serving lock-free exact distance queries. Create one with New; the
-// zero value is not usable.
+// Index is a 2-hop label index serving lock-free exact distance queries
+// from its current Epoch. One built by New also accepts online edge
+// updates; one built by Static is read-only. The zero value is not
+// usable.
 //
 // Concurrency: InsertEdge and DeleteEdge serialize on an internal writer
 // lock. Current (and the query helpers built on it) may be called from
@@ -134,6 +135,7 @@ type Index struct {
 	next *Epoch
 	gen  uint64
 
+	// g is the mutable adjacency; nil on a read-only index.
 	g         *mutGraph
 	perm, inv []int32
 	n         int32
@@ -231,6 +233,20 @@ func New(flat *label.FlatIndex, g *graph.Graph, opt Options) (*Index, error) {
 	d.cur.Store(newEpoch(base))
 	return d, nil
 }
+
+// Static wraps a frozen label index as a read-only Index: one epoch with
+// an empty overlay over flat's arrays, and none of New's maintenance
+// state — no adjacency, no search scratch, no journal: beside the two
+// structs it allocates only the epoch's page tables, one pointer per 64
+// ranks and side. The mutators need an index from New.
+func Static(flat *label.FlatIndex) *Index {
+	d := &Index{n: flat.N}
+	d.cur.Store(newEpoch(flat))
+	return d
+}
+
+// Updatable reports whether d accepts mutations (it came from New).
+func (d *Index) Updatable() bool { return d.g != nil }
 
 // Current returns the label epoch serving queries right now. The returned
 // epoch is immutable; hold it to answer a batch from one consistent

@@ -371,7 +371,7 @@ func TestPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// d(0,7) = 2 via the new shortcut: 0-6-7.
-	p, err := d.Path(0, 7)
+	p, err := d.Path(0, 7, nil)
 	if err != nil {
 		t.Fatalf("Path: %v", err)
 	}
@@ -393,7 +393,7 @@ func TestPath(t *testing.T) {
 	if err := d.DeleteEdge(0, 6); err != nil {
 		t.Fatal(err)
 	}
-	p, err = d.Path(0, 7)
+	p, err = d.Path(0, 7, nil)
 	if err != nil || len(p) != 8 {
 		t.Fatalf("Path(0,7) after delete = %v, %v, want the full 8-vertex path", p, err)
 	}
@@ -402,10 +402,10 @@ func TestPath(t *testing.T) {
 	if err := d.DeleteEdge(3, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Path(0, 7); !errors.Is(err, wire.ErrUnreachable) {
+	if _, err := d.Path(0, 7, nil); !errors.Is(err, wire.ErrUnreachable) {
 		t.Fatalf("disconnected Path: %v, want ErrUnreachable", err)
 	}
-	if _, err := d.Path(-1, 3); !errors.Is(err, wire.ErrUnreachable) {
+	if _, err := d.Path(-1, 3, nil); !errors.Is(err, wire.ErrUnreachable) {
 		t.Fatalf("out-of-range Path: %v, want ErrUnreachable", err)
 	}
 }

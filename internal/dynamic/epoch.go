@@ -84,6 +84,10 @@ func newEpoch(base *label.FlatIndex) *Epoch {
 // N returns the number of indexed vertices.
 func (e *Epoch) N() int32 { return e.base.N }
 
+// Base returns the immutable CSR under the overlay: the labels the index
+// was opened with, until a compaction or rebuild cuts a fresh one.
+func (e *Epoch) Base() *label.FlatIndex { return e.base }
+
 // Directed reports whether out- and in-labels are distinct families.
 func (e *Epoch) Directed() bool { return e.base.Directed }
 

@@ -8,52 +8,68 @@ import (
 )
 
 // Path reconstructs one shortest path from s to t (original ids,
-// inclusive of both endpoints) with the same greedy neighbor walk the
-// static index uses: from each vertex, step to any out-neighbor still on
-// a shortest path, verified with one label query per neighbor.
-//
-// It runs under the writer lock so the labels and the mutable adjacency
-// it walks are guaranteed to describe the same graph — an update
-// arriving mid-reconstruction waits, rather than leaving the walk
-// straddling two graph states. Returns wire.ErrUnreachable when t is
-// not reachable from s (or either id is out of range).
-func (d *Index) Path(s, t int32) ([]int32, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if s < 0 || t < 0 || s >= d.n || t >= d.n {
-		return nil, wire.ErrUnreachable
+// inclusive of both endpoints) with the greedy walk hopdb.Index.Path
+// documents: from each vertex, step to any out-neighbor on a shortest
+// path, verified with one label query per neighbor. On an index from New
+// the walk holds the writer lock over the live adjacency, so an update
+// arriving mid-reconstruction waits instead of leaving the walk
+// straddling two graph states, and g is ignored. A read-only index walks
+// g, and returns wire.ErrNoGraph when g is nil. Unreachable and
+// out-of-range pairs return wire.ErrUnreachable.
+func (d *Index) Path(s, t int32, g *graph.Graph) ([]int32, error) {
+	live := d.g != nil
+	if live {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+	} else if g == nil {
+		return nil, wire.ErrNoGraph
 	}
-	rs, rt := d.rank(s), d.rank(t)
-	x := d.cur.Load()
-	remaining := x.DistanceRanked(rs, rt)
+	e := d.cur.Load()
+	remaining := e.Distance(s, t)
 	if remaining == graph.Infinity {
 		return nil, wire.ErrUnreachable
 	}
-	orig := func(v int32) int32 {
-		if d.inv == nil {
-			return v
-		}
-		return d.inv[v]
-	}
 	path := []int32{s}
-	cur := rs
-	for cur != rt {
-		next := int32(-1)
-		var nextRemaining uint32
-		for _, a := range d.g.out[cur] {
-			w := uint32(a.w)
+	for cur := s; cur != t; {
+		next, nextRemaining := int32(-1), uint32(0)
+		// step takes the arc cur->v of weight w if it starts a shortest
+		// path to t.
+		step := func(v int32, w uint32) bool {
 			if w > remaining {
-				continue
+				return false
 			}
-			if dvt := x.DistanceRanked(a.to, rt); dvt != graph.Infinity && w+dvt == remaining {
-				next, nextRemaining = a.to, dvt
-				break
+			if dvt := e.Distance(v, t); dvt != graph.Infinity && w+dvt == remaining {
+				next, nextRemaining = v, dvt
+				return true
+			}
+			return false
+		}
+		if live {
+			for _, a := range d.g.out[d.rank(cur)] {
+				v := a.to
+				if d.inv != nil {
+					v = d.inv[v]
+				}
+				if step(v, uint32(a.w)) {
+					break
+				}
+			}
+		} else {
+			ws := g.OutWeights(cur)
+			for i, v := range g.OutNeighbors(cur) {
+				w := uint32(1)
+				if ws != nil {
+					w = uint32(ws[i])
+				}
+				if step(v, w) {
+					break
+				}
 			}
 		}
 		if next < 0 {
-			return nil, fmt.Errorf("dynamic: path reconstruction stuck at %d (remaining %d): labels inconsistent with graph", orig(cur), remaining)
+			return nil, fmt.Errorf("hopdb: path reconstruction stuck at %d (remaining %d): index inconsistent with graph", cur, remaining)
 		}
-		path = append(path, orig(next))
+		path = append(path, next)
 		cur, remaining = next, nextRemaining
 	}
 	return path, nil

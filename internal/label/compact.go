@@ -153,11 +153,6 @@ func (c *CompactIndex) rankOf(v int32) int32 {
 	return c.Perm[v]
 }
 
-// Rank translates an original vertex id (0 <= v < N, not validated) to
-// the rank id addressing the packed rows. Batch schedulers sort by it so
-// consecutive queries touch adjacent rows of the key arrays.
-func (c *CompactIndex) Rank(v int32) int32 { return c.rankOf(v) }
-
 // Distance answers a point-to-point distance query for original vertex
 // ids, returning graph.Infinity when t is unreachable from s. Answers
 // are byte-identical to FlatIndex.Distance over the same labels.
@@ -187,16 +182,6 @@ func (c *CompactIndex) DistanceRanked(s, t int32) uint32 {
 		best = compactLookup(in, uint32(s))
 	}
 	return compactMerge(out, in, best)
-}
-
-// PrefetchRanked touches the first cache line of both label rows serving
-// a rank-id pair (0 <= s, t < N, not validated), so a batch worker can
-// pull the next pair's rows toward the core while the current merge is
-// still running. It returns a value derived from the touched memory;
-// callers must consume it (see the batch path in the root package) so
-// the loads cannot be discarded as dead.
-func (c *CompactIndex) PrefetchRanked(s, t int32) uint32 {
-	return c.OutKeys[c.OutOffsets[s]] ^ c.InKeys[c.InOffsets[t]]
 }
 
 // compactLookup binary-searches a packed row for a trivial pivot,

@@ -139,7 +139,7 @@ func TestAdminInsertDeleteRoundTrip(t *testing.T) {
 		t.Fatalf("after insert: %d %s, want distance 4", status, body)
 	}
 
-	// The dynamic backend implements Pather against the live graph:
+	// An updatable index implements Pather against the live graph:
 	// /v1/path must reflect the update, not 501.
 	if status, body := get(t, ts.URL+"/v1/path?s=0&t=4"); status != 200 || !strings.Contains(body, `"path":[0,1,2,3,4]`) {
 		t.Fatalf("path after insert: %d %s", status, body)
@@ -264,8 +264,8 @@ func TestStatsUpdatesSection(t *testing.T) {
 			t.Fatalf("updates section lacks %q: %s", key, body)
 		}
 	}
-	if st.Backend != string(hopdb.BackendDynamic) {
-		t.Fatalf("backend = %q, want dynamic", st.Backend)
+	if st.Backend != string(hopdb.BackendHeap) {
+		t.Fatalf("backend = %q, want heap", st.Backend)
 	}
 
 	// A read-only backend omits the section.

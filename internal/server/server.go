@@ -1055,7 +1055,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // /v1/{ds}/stats). The cache section is present only when the cache is
 // enabled, the updates section only when the backend accepts online
 // edge updates, and the backend kind tells operators which regime
-// (heap/mmap/disk/remote/dynamic) is answering. Datasets always lists
+// (heap/mmap/disk/remote/shard) is answering. Datasets always lists
 // everything attached — routers read it to learn what this server
 // serves.
 func (s *Server) statsFor(st *dsState) StatsResult {

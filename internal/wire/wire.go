@@ -33,7 +33,9 @@ type Backend string
 
 // The built-in backend kinds, as reported by Stats and /v1/stats.
 const (
-	// BackendHeap serves from label arrays resident in process memory.
+	// BackendHeap serves from label arrays resident in process memory,
+	// including an index open for online updates (its /v1/stats adds the
+	// updates section).
 	BackendHeap Backend = "heap"
 	// BackendMmap serves from a memory-mapped index file.
 	BackendMmap Backend = "mmap"
@@ -42,10 +44,6 @@ const (
 	BackendDisk Backend = "disk"
 	// BackendRemote forwards queries to a hopdb-serve instance over HTTP.
 	BackendRemote Backend = "remote"
-	// BackendDynamic serves from heap labels that are maintained online:
-	// the index accepts InsertEdge/DeleteEdge and republishes a fresh
-	// immutable label epoch after every effective mutation.
-	BackendDynamic Backend = "dynamic"
 	// BackendRouter is the stateless fan-out tier (cmd/hopdb-router): it
 	// holds no labels itself and balances queries across a replica fleet.
 	BackendRouter Backend = "router"

@@ -8,6 +8,7 @@ import (
 	"repro/client"
 	"repro/internal/diskidx"
 	"repro/internal/dynamic"
+	"repro/internal/label"
 )
 
 // OpenOption configures Open; see WithMmap, WithDisk, WithGraph,
@@ -105,13 +106,16 @@ func WithToken(token string) OpenOption {
 }
 
 // WithUpdates opens the index for online edge updates: the returned
-// Querier also implements Updatable (InsertEdge/DeleteEdge patch the
-// labels in place and publish a fresh immutable epoch, so concurrent
-// readers never block). Requires WithGraph — maintenance walks the
-// adjacency — and the labels are read into heap memory: combining
-// WithUpdates with WithMmap, WithDisk, WithRemote, or WithBitParallel is
-// an error (those backends serve read-only label images). The backend
-// kind is BackendDynamic.
+// Querier is the same in-memory Index every heap open serves, and also
+// implements Updatable and Replicator (InsertEdge/DeleteEdge patch the
+// labels copy-on-write and publish a fresh immutable epoch, so
+// concurrent readers never block). Requires WithGraph — maintenance
+// walks the adjacency — and the labels are read into heap memory:
+// combining WithUpdates with WithMmap (a Save onto the mapped file would
+// truncate it under its readers), WithDisk, WithRemote, or
+// WithBitParallel is an error. The accelerated kernels stay off, since
+// the next update would leave them stale, so the index reports
+// BackendHeap and KernelScalar.
 func WithUpdates(opt UpdateOptions) OpenOption {
 	return func(c *openConfig) { c.updates = true; c.updateOpt = opt }
 }
@@ -149,35 +153,14 @@ func Open(path string, opts ...OpenOption) (Querier, error) {
 		return nil, fmt.Errorf("hopdb: Open: WithDataset/WithToken apply only to WithRemote(s) backends")
 	}
 	if cfg.updates {
-		if cfg.mmap || cfg.disk {
+		switch {
+		case cfg.mmap || cfg.disk:
 			return nil, fmt.Errorf("hopdb: Open: WithUpdates needs heap labels; it cannot be combined with WithMmap or WithDisk")
-		}
-		if cfg.bp {
+		case cfg.bp:
 			return nil, fmt.Errorf("hopdb: Open: WithUpdates cannot be combined with WithBitParallel (the bit-parallel image would go stale)")
-		}
-		if cfg.graph == nil {
+		case cfg.graph == nil:
 			return nil, fmt.Errorf("hopdb: Open: WithUpdates requires WithGraph (maintenance walks the adjacency)")
 		}
-		idx, err := loadIndex(path)
-		if err != nil {
-			return nil, err
-		}
-		dopt := dynamic.Options{
-			MaxStaleFraction:   cfg.updateOpt.MaxStaleFraction,
-			RebuildParallelism: cfg.updateOpt.RebuildParallelism,
-			JournalLimit:       cfg.updateOpt.JournalLimit,
-			InitialSeq:         cfg.updateOpt.InitialSeq,
-		}
-		if cfg.updateOpt.Rebuild != nil {
-			// Staleness-triggered full rebuilds replay the original build
-			// configuration instead of zero-value defaults.
-			dopt.Build = coreOptions(*cfg.updateOpt.Rebuild)
-		}
-		dyn, err := dynamic.New(idx.flat, cfg.graph, dopt)
-		if err != nil {
-			return nil, err
-		}
-		return &dynQuerier{d: dyn}, nil
 	}
 	if cfg.disk {
 		if cfg.mmap {
@@ -192,20 +175,31 @@ func Open(path string, opts ...OpenOption) (Querier, error) {
 		}
 		return &diskQuerier{d: d}, nil
 	}
-	var (
-		idx *Index
-		err error
-	)
+	load := readFlat
 	if cfg.mmap {
-		idx, err = loadIndexFlat(path)
-	} else {
-		idx, err = loadIndex(path)
+		load = label.MmapFlat
 	}
+	flat, err := load(path)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.graph != nil {
-		idx.AttachGraph(cfg.graph)
+	idx := newIndex(flat, cfg.graph)
+	if cfg.updates {
+		dopt := dynamic.Options{
+			MaxStaleFraction:   cfg.updateOpt.MaxStaleFraction,
+			RebuildParallelism: cfg.updateOpt.RebuildParallelism,
+			JournalLimit:       cfg.updateOpt.JournalLimit,
+			InitialSeq:         cfg.updateOpt.InitialSeq,
+		}
+		if cfg.updateOpt.Rebuild != nil {
+			// Staleness-triggered full rebuilds replay the original build
+			// configuration instead of zero-value defaults.
+			dopt.Build = coreOptions(*cfg.updateOpt.Rebuild)
+		}
+		if idx.eng, err = dynamic.New(flat, cfg.graph, dopt); err != nil {
+			return nil, err
+		}
+		return updatable{idx}, nil
 	}
 	if !cfg.mmap {
 		// Heap-backed opens get the packed kernel automatically when the

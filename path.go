@@ -18,59 +18,23 @@ var (
 )
 
 // Path reconstructs one shortest path from s to t (inclusive of both
-// endpoints) using the index plus the original graph: from each vertex it
-// steps to any out-neighbor that lies on a shortest path, verified with
-// one distance query per neighbor. This is an extension beyond the paper,
+// endpoints) using the index plus the graph: from each vertex it steps
+// to any out-neighbor that lies on a shortest path, verified with one
+// distance query per neighbor. This is an extension beyond the paper,
 // which reports distances only; the cost is O(path length * average
-// degree) index queries.
+// degree) index queries. A read-only index walks the attached graph; an
+// index opened WithUpdates walks its live adjacency, serialized with
+// writers so the walk sees one graph state.
 //
 // It returns ErrNoGraph when no graph is attached, ErrUnreachable when no
 // path exists, and a descriptive error when the index is inconsistent
 // with the graph (e.g. a corrupt file was loaded), so a serving process
 // never crashes on bad input.
-func (x *Index) Path(s, t int32) ([]int32, error) {
-	if x.g == nil {
-		return nil, ErrNoGraph
-	}
-	total, ok := x.Distance(s, t)
-	if !ok {
-		return nil, ErrUnreachable
-	}
-	path := []int32{s}
-	cur := s
-	remaining := total
-	for cur != t {
-		adj := x.g.OutNeighbors(cur)
-		ws := x.g.OutWeights(cur)
-		next := int32(-1)
-		var nextRemaining uint32
-		for i, v := range adj {
-			w := uint32(1)
-			if ws != nil {
-				w = uint32(ws[i])
-			}
-			if w > remaining {
-				continue
-			}
-			dvt, okV := x.Distance(v, t)
-			if okV && w+dvt == remaining {
-				next = v
-				nextRemaining = dvt
-				break
-			}
-		}
-		if next < 0 {
-			return nil, fmt.Errorf("hopdb: path reconstruction stuck at %d (remaining %d): index inconsistent with graph", cur, remaining)
-		}
-		path = append(path, next)
-		cur = next
-		remaining = nextRemaining
-	}
-	return path, nil
-}
+func (x *Index) Path(s, t int32) ([]int32, error) { return x.eng.Path(s, t, x.g) }
 
 // PathLength sums the edge weights along a path, validating that each hop
-// is an edge of the graph. Used by tests and example programs to check
+// is an edge of the attached graph (on an index opened WithUpdates, the
+// graph as it was at Open). Used by tests and example programs to check
 // reconstructed paths.
 func (x *Index) PathLength(path []int32) (uint32, error) {
 	if x.g == nil {

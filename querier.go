@@ -9,7 +9,8 @@ type Backend = wire.Backend
 // The built-in backend kinds reported by Querier.Stats.
 const (
 	// BackendHeap serves from label arrays resident in process memory
-	// (Build, or Open without options).
+	// (Build, or Open without WithMmap, WithDisk or WithRemote — with or
+	// without WithUpdates).
 	BackendHeap = wire.BackendHeap
 	// BackendMmap serves from a memory-mapped index file (Open with
 	// WithMmap).
@@ -20,9 +21,6 @@ const (
 	// BackendRemote forwards queries to a hopdb-serve instance over HTTP
 	// (Open with WithRemote).
 	BackendRemote = wire.BackendRemote
-	// BackendDynamic serves from heap labels maintained online (Open
-	// with WithUpdates); the Querier also implements Updatable.
-	BackendDynamic = wire.BackendDynamic
 )
 
 // QuerierStats describes a query backend: what serves the answers and
@@ -105,17 +103,13 @@ type LookupBatcher interface {
 var (
 	_ Querier       = (*Index)(nil)
 	_ Querier       = (*diskQuerier)(nil)
-	_ Querier       = (*dynQuerier)(nil)
 	_ Pather        = (*Index)(nil)
-	_ Pather        = (*dynQuerier)(nil)
 	_ Lookuper      = (*Index)(nil)
 	_ Lookuper      = (*diskQuerier)(nil)
-	_ Lookuper      = (*dynQuerier)(nil)
 	_ LookupBatcher = (*Index)(nil)
 	_ LookupBatcher = (*diskQuerier)(nil)
-	_ LookupBatcher = (*dynQuerier)(nil)
-	_ Updatable     = (*dynQuerier)(nil)
-	_ Replicator    = (*dynQuerier)(nil)
+	_ Updatable     = updatable{}
+	_ Replicator    = updatable{}
 )
 
 // Lookup implements Lookuper; in-memory queries cannot fail, so the
@@ -132,11 +126,13 @@ func (x *Index) LookupBatchInto(results []uint32, pairs []QueryPair, workers int
 }
 
 // Stats describes the index for the Querier contract: heap- or mmap-
-// backed, and which kernel answers point queries (the same precedence
-// Distance uses: bit-parallel, then compact, then scalar).
+// backed (from the epoch's base), and which kernel answers point queries
+// (the same precedence Distance uses: bit-parallel, then compact, then
+// scalar).
 func (x *Index) Stats() QuerierStats {
+	e := x.eng.Current()
 	backend := BackendHeap
-	if x.flat.Mapped() {
+	if e.Base().Mapped() {
 		backend = BackendMmap
 	}
 	kernel := KernelScalar
@@ -149,10 +145,10 @@ func (x *Index) Stats() QuerierStats {
 	return QuerierStats{
 		Backend:     backend,
 		Kernel:      kernel,
-		Directed:    x.flat.Directed,
-		Vertices:    x.flat.N,
-		Entries:     x.Entries(),
-		SizeBytes:   x.SizeBytes(),
-		BitParallel: x.bp.Load() != nil,
+		Directed:    e.Directed(),
+		Vertices:    e.N(),
+		Entries:     e.Entries(),
+		SizeBytes:   e.SizeBytes(),
+		BitParallel: kernel == KernelBitParallel,
 	}
 }

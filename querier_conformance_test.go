@@ -1,13 +1,14 @@
 package hopdb_test
 
 // The Querier conformance suite: one table of graphs, one set of checks,
-// run against every backend — heap, mmap, disk, bit-parallel, and the
-// HTTP client talking to a live server. The paper's claim is that the
+// run against every backend — heap, mmap, disk, bit-parallel, a heap
+// index opened for updates, and the HTTP client talking to a live server. The paper's claim is that the
 // same 2-hop label index answers exact queries in every deployment
 // regime; this suite pins the repo to that claim, asserting identical
 // answers and identical Infinity/ok semantics everywhere.
 
 import (
+	"errors"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
@@ -91,12 +92,14 @@ func confGraphs() []confGraph {
 }
 
 // confBackend is one opened backend under test plus its expected kind
-// and (when non-empty) the kernel its Stats must report.
+// and (when non-empty) the kernel its Stats must report. graph is set
+// when the backend was opened WithGraph, so Path must work too.
 type confBackend struct {
 	name    string
 	kind    hopdb.Backend
 	kernel  hopdb.Kernel
 	querier hopdb.Querier
+	graph   *hopdb.Graph
 }
 
 // openBackends builds the index for g once and opens it through every
@@ -156,10 +159,17 @@ func openBackends(t *testing.T, g *hopdb.Graph, gc confGraph) []confBackend {
 		open("remote", hopdb.BackendRemote, hopdb.KernelCompact, "", hopdb.WithRemote(ts.URL)),
 		open("remote-dataset", hopdb.BackendRemote, hopdb.KernelCompact, "", hopdb.WithRemote(ts.URL), hopdb.WithDataset("conf")),
 	}
+	// An index opened for updates, before any mutation: the same heap
+	// Index on the scalar kernel, with Updatable on top.
+	updates := open("heap-updates", hopdb.BackendHeap, hopdb.KernelScalar, idxPath,
+		hopdb.WithGraph(g), hopdb.WithUpdates(hopdb.UpdateOptions{}))
+	updates.graph = g
+	backends = append(backends, updates)
 	if !gc.directed && !gc.weighted {
-		backends = append(backends,
-			open("bitparallel", hopdb.BackendHeap, hopdb.KernelBitParallel, idxPath,
-				hopdb.WithGraph(g), hopdb.WithBitParallel(8)))
+		bp := open("bitparallel", hopdb.BackendHeap, hopdb.KernelBitParallel, idxPath,
+			hopdb.WithGraph(g), hopdb.WithBitParallel(8))
+		bp.graph = g
+		backends = append(backends, bp)
 	}
 	// The sharded deployment: rank shards behind a scatter-gather
 	// router, reached through the same remote client. Byte-identical
@@ -309,9 +319,45 @@ func TestQuerierConformance(t *testing.T) {
 							}
 						}
 					}
+
+					// With a graph attached, every reconstructed path is
+					// a walk over graph edges whose weight is the distance.
+					if be.graph != nil {
+						checkPaths(t, q.(hopdb.Pather), be.graph, pairs, want)
+					}
 				})
 			}
 		})
+	}
+}
+
+// checkPaths asks p for the path of every pair: unreachable and
+// out-of-range pairs must report ErrUnreachable, and every other path
+// must run from s to t over edges of g with total weight want[i].
+func checkPaths(t *testing.T, p hopdb.Pather, g *hopdb.Graph, pairs []hopdb.QueryPair, want []uint32) {
+	t.Helper()
+	for i, pr := range pairs {
+		path, err := p.Path(pr.S, pr.T)
+		if want[i] == hopdb.Infinity {
+			if !errors.Is(err, hopdb.ErrUnreachable) {
+				t.Fatalf("Path(%d,%d) = %v, %v, want ErrUnreachable", pr.S, pr.T, path, err)
+			}
+			continue
+		}
+		if err != nil || len(path) == 0 || path[0] != pr.S || path[len(path)-1] != pr.T {
+			t.Fatalf("Path(%d,%d) = %v, %v", pr.S, pr.T, path, err)
+		}
+		var total uint32
+		for j := 0; j+1 < len(path); j++ {
+			w, ok := g.EdgeWeight(path[j], path[j+1])
+			if !ok {
+				t.Fatalf("Path(%d,%d) = %v: (%d,%d) is not an edge", pr.S, pr.T, path, path[j], path[j+1])
+			}
+			total += uint32(w)
+		}
+		if total != want[i] {
+			t.Fatalf("Path(%d,%d) = %v weighs %d, want %d", pr.S, pr.T, path, total, want[i])
+		}
 	}
 }
 
@@ -344,9 +390,9 @@ func TestQuerierConformanceBackendsAgree(t *testing.T) {
 }
 
 // TestQuerierConformanceUpdated extends the suite to indexes mutated
-// online: for every conformance graph, a WithUpdates backend applies a
-// deterministic mix of deletes and inserts, and then the live dynamic
-// querier AND the patched file reopened through the heap and mmap
+// online: for every conformance graph, a WithUpdates index applies a
+// deterministic mix of deletes and inserts, and then the live updatable
+// index AND the patched file reopened through the heap and mmap
 // backends must all answer the mutated graph's ground truth exactly —
 // verifying that patched labels persist.
 func TestQuerierConformanceUpdated(t *testing.T) {
@@ -444,7 +490,7 @@ func TestQuerierConformanceUpdated(t *testing.T) {
 				t.Fatal(err)
 			}
 			backends := []confBackend{
-				{name: "dynamic", kind: hopdb.BackendDynamic, querier: q},
+				{name: "dynamic", kind: hopdb.BackendHeap, querier: q},
 			}
 			open := func(name string, kind hopdb.Backend, opts ...hopdb.OpenOption) {
 				rq, err := hopdb.Open(patched, opts...)

@@ -256,6 +256,11 @@ code=$(curl -s -o "$tmp/update.json" -w '%{http_code}' -X POST \
   --data-binary "[{\"op\":\"delete\",\"u\":$EU,\"v\":$EV}]" "$ROUTER/v1/admin/edges")
 [ "$code" = "200" ] || { echo "admin delete via router returned $code: $(cat "$tmp/update.json")" >&2; exit 1; }
 grep -q '"seq":1' "$tmp/update.json" || { echo "update response missing seq 1: $(cat "$tmp/update.json")" >&2; exit 1; }
+# An updatable index is the heap index plus the writer: /v1/stats names
+# the heap backend and adds the updates section.
+curl -fsS "$PRIMARY/v1/stats" >"$tmp/primary_stats.json"
+grep -q '"backend":"heap"' "$tmp/primary_stats.json" || { echo "updatable primary /v1/stats does not report the heap backend: $(cat "$tmp/primary_stats.json")" >&2; exit 1; }
+grep -q '"updates":{' "$tmp/primary_stats.json" || { echo "updatable primary /v1/stats lacks the updates section: $(cat "$tmp/primary_stats.json")" >&2; exit 1; }
 
 echo "== waiting for both replicas to reach seq 1"
 for p in "$P1" "$P2"; do

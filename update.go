@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -137,88 +136,25 @@ type Updatable interface {
 	Save(path string) error
 }
 
-// dynQuerier adapts the maintenance engine to the Querier contract. Each
-// single query loads the current epoch once; each batch loads it once
-// for the whole batch, so a batch is answered from one consistent graph
-// state even while a writer streams updates.
-type dynQuerier struct {
-	d *dynamic.Index
-}
+// updatable is what Open returns with WithUpdates: the one in-memory
+// Index, whose engine was built with the writer, plus the mutators
+// forwarded to it. Queries, Save and Path are the Index's own; a
+// read-only open returns the bare *Index, so a Querier implements
+// Updatable exactly when it was opened for updates.
+type updatable struct{ *Index }
 
-func (q *dynQuerier) Distance(s, t int32) (uint32, bool) {
-	d := q.d.Current().Distance(s, t)
-	return d, d != Infinity
-}
-
-func (q *dynQuerier) DistanceBatchInto(results []uint32, pairs []QueryPair, workers int) []uint32 {
-	f := q.d.Current()
-	return batchInto(results, pairs, workers, func(pairs []QueryPair, results []uint32) {
-		for i, p := range pairs {
-			results[i] = f.Distance(p.S, p.T)
-		}
-	})
-}
-
-// Lookup implements Lookuper; in-memory queries cannot fail.
-func (q *dynQuerier) Lookup(s, t int32) (uint32, bool, error) {
-	d, ok := q.Distance(s, t)
-	return d, ok, nil
-}
-
-// LookupBatchInto implements LookupBatcher; in-memory batches cannot
-// fail.
-func (q *dynQuerier) LookupBatchInto(results []uint32, pairs []QueryPair, workers int) ([]uint32, error) {
-	return q.DistanceBatchInto(results, pairs, workers), nil
-}
-
-func (q *dynQuerier) N() int32 { return q.d.N() }
-
-func (q *dynQuerier) Stats() QuerierStats {
-	f := q.d.Current()
-	return QuerierStats{
-		Backend:   BackendDynamic,
-		Kernel:    KernelScalar,
-		Directed:  f.Directed(),
-		Vertices:  f.N(),
-		Entries:   f.Entries(),
-		SizeBytes: f.SizeBytes(),
-	}
-}
-
-func (q *dynQuerier) Close() error { return nil }
-
-// Path implements Pather: the dynamic backend always holds the live
-// adjacency, so path reconstruction works (briefly serializing with
-// writers so the walk sees one consistent graph state).
-func (q *dynQuerier) Path(s, t int32) ([]int32, error) { return q.d.Path(s, t) }
-
-func (q *dynQuerier) InsertEdge(u, v, w int32) error { return q.d.InsertEdge(u, v, w) }
-func (q *dynQuerier) DeleteEdge(u, v int32) error    { return q.d.DeleteEdge(u, v) }
-func (q *dynQuerier) UpdateStats() UpdateStats       { return q.d.Stats() }
+func (u updatable) InsertEdge(a, b, w int32) error { return u.eng.InsertEdge(a, b, w) }
+func (u updatable) DeleteEdge(a, b int32) error    { return u.eng.DeleteEdge(a, b) }
+func (u updatable) UpdateStats() UpdateStats       { return u.eng.Stats() }
 
 // Replicator implementation: the maintenance engine journals every
 // effective mutation.
-func (q *dynQuerier) Seq() int64   { return q.d.Seq() }
-func (q *dynQuerier) Epoch() int64 { return q.d.Epoch() }
-func (q *dynQuerier) ReplicationLog(since int64, max int) (ReplicationLog, error) {
-	return q.d.ReplicationLog(since, max)
+func (u updatable) Seq() int64   { return u.eng.Seq() }
+func (u updatable) Epoch() int64 { return u.eng.Epoch() }
+func (u updatable) ReplicationLog(since int64, max int) (ReplicationLog, error) {
+	return u.eng.ReplicationLog(since, max)
 }
-func (q *dynQuerier) ApplyReplicated(op ReplicationOp) error { return q.d.ApplyReplicated(op) }
-
-// Save materialises the current label epoch (base plus overlay) as one
-// CSR and writes it in the v2 flat format.
-func (q *dynQuerier) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := q.d.Current().Flat().Write(f); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	return f.Close()
-}
+func (u updatable) ApplyReplicated(op ReplicationOp) error { return u.eng.ApplyReplicated(op) }
 
 // ApplyEdgeOps applies ops to an updatable index in order, returning how
 // many were applied and the first failure (ops after it are not

@@ -2,8 +2,10 @@ package hopdb_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,14 +54,29 @@ func TestOpenWithUpdatesValidation(t *testing.T) {
 		}
 	}
 
-	// The happy path: Querier + Updatable, dynamic backend kind.
+	// The happy path: Querier + Updatable over heap labels, scalar kernel.
 	q, err := hopdb.Open(path, hopdb.WithGraph(g), hopdb.WithUpdates(hopdb.UpdateOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	if st := q.Stats(); st.Backend != hopdb.BackendDynamic {
-		t.Errorf("Stats().Backend = %q, want %q", st.Backend, hopdb.BackendDynamic)
+	if st := q.Stats(); st.Backend != hopdb.BackendHeap || st.Kernel != hopdb.KernelScalar {
+		t.Errorf("Stats() backend/kernel = %q/%q, want %q/%q", st.Backend, st.Kernel, hopdb.BackendHeap, hopdb.KernelScalar)
+	}
+	// The accelerators are read-only: enabling one on an updatable index
+	// fails instead of publishing a kernel the next update would stale.
+	acc := q.(interface {
+		EnableCompact() error
+		EnableBitParallel(int) error
+	})
+	if err := acc.EnableCompact(); err == nil {
+		t.Error("EnableCompact on an updatable index succeeded, want error")
+	}
+	if err := acc.EnableBitParallel(8); err == nil {
+		t.Error("EnableBitParallel on an updatable index succeeded, want error")
+	}
+	if st := q.Stats(); st.Kernel != hopdb.KernelScalar {
+		t.Errorf("after refused accelerators Stats().Kernel = %q, want %q", st.Kernel, hopdb.KernelScalar)
 	}
 	u, ok := q.(hopdb.Updatable)
 	if !ok {
@@ -108,6 +125,57 @@ func TestParseEdgeDelta(t *testing.T) {
 			t.Errorf("ParseEdgeDelta(%q) succeeded, want error", bad)
 		}
 	}
+}
+
+// FuzzParseEdgeDelta feeds arbitrary text to the delta parser, which
+// reads untrusted input (hopdb-update -delta, and stdin). It must never
+// panic; every op it accepts must be an insert or a delete; and
+// rendering the accepted ops back as delta text must parse to the same
+// ops.
+func FuzzParseEdgeDelta(f *testing.F) {
+	for _, seed := range []string{
+		"+ 1 2\n+ 3 4 7\n- 5 6\n",
+		"# a comment\n% another\n+ 1 2 # trailing\n- 3 4 % trailing\n",
+		"\n\n   \n\t\n+ 0 1\n\n",
+		"+ 1 2 3 4\n",
+		"- 1 2 3 4 5\n",
+		"+ a b\n",
+		"- 1 x\n",
+		"+ 1 2 w\n",
+		"+ 2147483648 1\n",
+		"- -2147483649 0\n",
+		"+ 1 2 2147483647\n",
+		"+ 1 2" + strings.Repeat(" ", 1<<20) + "\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		ops, err := hopdb.ParseEdgeDelta(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		for _, op := range ops {
+			switch op.Op {
+			case hopdb.OpInsert:
+				fmt.Fprintf(&b, "+ %d %d %d\n", op.U, op.V, op.W)
+			case hopdb.OpDelete:
+				if op.W != 0 {
+					t.Fatalf("delete op carries weight %d", op.W)
+				}
+				fmt.Fprintf(&b, "- %d %d\n", op.U, op.V)
+			default:
+				t.Fatalf("accepted op %+v, want %q or %q", op, hopdb.OpInsert, hopdb.OpDelete)
+			}
+		}
+		again, err := hopdb.ParseEdgeDelta(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("re-rendered ops do not parse: %v\n%s", err, b.String())
+		}
+		if !slices.Equal(again, ops) {
+			t.Fatalf("round trip changed the ops: %+v, then %+v", ops, again)
+		}
+	})
 }
 
 // TestUpdateConcurrentReaders hammers Distance and DistanceBatchInto
