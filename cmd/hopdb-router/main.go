@@ -17,10 +17,10 @@
 // With -shard-map the replicas are rank shards from hopdb-build
 // -shards (each started with hopdb-serve -shard): the router loads the
 // replicated hub shard into its own memory, answers hub-covered pairs
-// locally without any leaf RPC, batches same-leaf pairs natively to
-// their owner, and scatter-gathers the rest — fetching each pair's two
-// label rows from their owning shards over POST /v1/rows and merging
-// locally — all through the same hedging/failover machinery.
+// locally without any leaf RPC, and merges every other pair itself from
+// its two label rows, fetching the leaf-owned ones over POST /v1/rows
+// with one request per owning shard — all through the same
+// hedging/failover machinery.
 //
 // Routing is dataset-aware: replicas advertise the datasets they serve
 // in /v1/stats, and /v1/{dataset}/* requests scatter only to replicas

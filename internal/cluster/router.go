@@ -236,9 +236,17 @@ func (u upstream) transient() bool {
 	return u.err != nil || wire.TransientStatus(u.status)
 }
 
+// bodyScratch holds the buffers fetchOnce reads upstream bodies into,
+// so a body costs one exactly sized copy instead of io.ReadAll's
+// growth: a leaf's /v1/rows answer is chunked, its length unknown until
+// it ends. Buffers above maxPooledBody are left to the collector.
+var bodyScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
 // fetchOnce performs one upstream attempt against ep, forwarding the
 // relayed client headers (auth, request id, read-your-writes demand),
-// and reads the whole response.
+// and reads the whole response into one buffer.
 func (rt *Router) fetchOnce(ctx context.Context, ep *endpoint, method, path, contentType string, body []byte, fwd http.Header, hedged bool) upstream {
 	ep.inflight.Add(1)
 	defer ep.inflight.Add(-1)
@@ -265,7 +273,13 @@ func (rt *Router) fetchOnce(ctx context.Context, ep *endpoint, method, path, con
 		return upstream{err: err, hedged: hedged}
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	buf := bodyScratch.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err = buf.ReadFrom(resp.Body)
+	b := bytes.Clone(buf.Bytes())
+	if buf.Cap() <= maxPooledBody {
+		bodyScratch.Put(buf)
+	}
 	if err != nil {
 		return upstream{err: err, hedged: hedged}
 	}
@@ -670,8 +684,10 @@ type RouterStats struct {
 	HedgeWins      int64   `json:"hedge_wins"`
 	UpstreamErrors int64   `json:"upstream_errors"`
 	// HubLocal counts pairs answered entirely from the router-resident
-	// hub shard (no leaf RPC); RowFetches counts label rows pulled from
-	// leaf shards for router-local merging. Both stay zero unsharded.
+	// hub shard (no leaf RPC); RowFetches counts the distinct leaf-owned
+	// label rows fetched for router-local merging, which every other
+	// pair goes through (each row once per batch). Both stay zero
+	// unsharded.
 	HubLocal   int64          `json:"hub_local"`
 	RowFetches int64          `json:"row_fetches"`
 	Replicas   []ReplicaState `json:"replicas"`

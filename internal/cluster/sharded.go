@@ -4,13 +4,12 @@
 // (every pivot outranks its owner) makes a contiguous rank range a
 // complete shard key, so a pair resolves to at most two owning shards:
 //
-//   - both ranks in the hub tier  -> merged against the router-resident
+//   - both ranks in the hub tier -> merged against the router-resident
 //     hub shard, zero leaf RPCs;
-//   - both ranks on the same leaf -> the pair is batched natively to
-//     that leaf over the binary codec;
-//   - otherwise                   -> the two rows are fetched from their
-//     owners (hub rows locally, leaf rows via POST /v1/rows, deduped
-//     per row across the batch) and merged on the router.
+//   - otherwise                  -> the two rows are merged on the
+//     router: hub-ranked rows come from the hub, leaf-ranked ones via
+//     POST /v1/rows, deduped across the batch and sent as one request
+//     per owning leaf.
 //
 // Fan-out rides the same hedging/failover loop as unsharded routing,
 // with replica choice constrained to the shard that owns the range.
@@ -20,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -27,13 +27,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/wire"
 )
-
-// leafInfo is leaf id's advertised identity (Map.Validate pins IDs to
-// slice positions).
-func leafInfo(m *shard.Map, id int32) wire.ShardInfo {
-	r := m.Shards[id]
-	return wire.ShardInfo{Lo: r.Lo, Hi: r.Hi}
-}
 
 // handleShardedDistance answers GET /v1/distance from the shard fleet,
 // mirroring a replica's response shape byte for byte.
@@ -92,24 +85,23 @@ func (rt *Router) shardedBatch(w http.ResponseWriter, r *http.Request, pairs []w
 }
 
 // shardedAnswer computes the distances for pairs against the shard
-// fleet: classify every pair, fan out the leaf work concurrently, and
-// merge mixed pairs locally. On failure the first upstream outcome is
-// returned for relaying (nil results).
+// fleet: pairs inside the hub tier are answered from the hub, every
+// other pair is merged here from its two rows, and the leaf-owned rows
+// are fetched concurrently, one request per leaf (per ChunkSize rows).
+// On failure the first upstream outcome is returned for relaying (nil
+// results).
 func (rt *Router) shardedAnswer(ctx context.Context, pairs []wire.QueryPair, fwd http.Header, noHedge bool) ([]uint32, *upstream) {
 	m, hub := rt.cfg.ShardMap, rt.cfg.Hub
 	h := m.HubRanks
 	results := make([]uint32, len(pairs))
 
-	// mergePair is one pair answered by a router-local merge of two rows.
-	type mergePair struct {
-		idx    int
-		rs, rt int32
-	}
+	// Plan: one key rank<<33 | in<<32 | slot per leaf-ranked side of a
+	// merged pair, slot = 2*pair + side. Sorted, equal rows sit next to
+	// each other (the dedup) and, as leaves own ascending contiguous rank
+	// ranges, each leaf's rows form one run.
 	var (
-		merges   []mergePair
-		hubHits  int64
-		native   = map[int32][]int{}        // leaf id -> pair indexes it answers natively
-		rowOwner = map[shard.RowKey]int32{} // leaf-owned rows needed, deduped across the batch
+		keys    []uint64
+		hubHits int64
 	)
 	for i, p := range pairs {
 		if p.S < 0 || p.T < 0 || p.S >= m.N || p.T >= m.N {
@@ -130,103 +122,62 @@ func (rt *Router) shardedAnswer(ctx context.Context, pairs []wire.QueryPair, fwd
 			hubHits++
 			continue
 		}
-		ls, lt := m.Owner(rs), m.Owner(rtk)
-		if ls >= 0 && ls == lt {
-			native[ls] = append(native[ls], i)
-			continue
-		}
-		merges = append(merges, mergePair{idx: i, rs: rs, rt: rtk})
 		if rs >= h {
-			rowOwner[shard.RowKey{Rank: rs}] = ls
+			keys = append(keys, uint64(rs)<<33|uint64(2*i))
 		}
 		if rtk >= h {
-			rowOwner[shard.RowKey{Rank: rtk, In: true}] = lt
+			keys = append(keys, uint64(rtk)<<33|1<<32|uint64(2*i+1))
 		}
 	}
 	rt.hubLocal.Add(hubHits)
+	slices.Sort(keys)
+
+	// want lists the distinct rows to fetch, rows receives them, and
+	// where[slot] is 1 + that side's index in both; 0 marks a hub-ranked
+	// side, or both sides of a pair already answered above.
+	where := make([]int32, 2*len(pairs))
+	var want []shard.RowKey
+	for j, k := range keys {
+		if j == 0 || k>>32 != keys[j-1]>>32 {
+			want = append(want, shard.RowKey{Rank: int32(k >> 33), In: k>>32&1 != 0})
+		}
+		where[uint32(k)] = int32(len(want))
+	}
+	rt.rowFetches.Add(int64(len(want)))
+	rows := make([][]label.Entry, len(want))
 
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
 		fail *upstream
-		rows = make(map[shard.RowKey][]label.Entry, len(rowOwner))
 	)
-	setFail := func(u upstream) {
-		mu.Lock()
-		if fail == nil {
-			fail = &u
+	for start, end := 0, 0; start < len(want); start = end {
+		leaf := m.Shards[m.Owner(want[start].Rank)]
+		si := wire.ShardInfo{Lo: leaf.Lo, Hi: leaf.Hi}
+		for end < len(want) && want[end].Rank < si.Hi {
+			end++
 		}
-		mu.Unlock()
-	}
-
-	// Native sub-batches: the leaf holds both rows, so it answers the
-	// pairs itself over the binary codec, chunked like unsharded batches.
-	for id, idxs := range native {
-		si := leafInfo(m, id)
-		for lo := 0; lo < len(idxs); lo += rt.cfg.ChunkSize {
-			hi := lo + rt.cfg.ChunkSize
-			if hi > len(idxs) {
-				hi = len(idxs)
-			}
+		for lo := start; lo < end; lo += rt.cfg.ChunkSize {
+			hi := min(lo+rt.cfg.ChunkSize, end)
 			wg.Add(1)
-			go func(si wire.ShardInfo, chunk []int) {
+			go func() {
 				defer wg.Done()
-				sub := make([]wire.QueryPair, len(chunk))
-				for j, i := range chunk {
-					sub[j] = pairs[i]
-				}
-				req := wire.AppendBatchRequest(nil, sub)
-				res := rt.forwardShard(ctx, si, http.MethodPost, "/v1/batch", wire.ContentTypeBinaryBatch, req, fwd, noHedge)
-				if res.err != nil || res.status != http.StatusOK {
-					setFail(res)
-					return
-				}
-				dists, derr := wire.DecodeBatchResponse(nil, res.body)
-				if derr != nil || len(dists) != len(chunk) {
-					setFail(upstream{err: fmt.Errorf("shard [%d,%d) answered a malformed batch: %v", si.Lo, si.Hi, derr)})
-					return
-				}
-				for j, i := range chunk {
-					results[i] = dists[j]
-				}
-			}(si, idxs[lo:hi])
-		}
-	}
-
-	// Row fetches: grouped per owning leaf, chunked, merged locally once
-	// both sides of each mixed pair are in hand.
-	byLeaf := map[int32][]shard.RowKey{}
-	for k, id := range rowOwner {
-		byLeaf[id] = append(byLeaf[id], k)
-	}
-	for id, keys := range byLeaf {
-		si := leafInfo(m, id)
-		rt.rowFetches.Add(int64(len(keys)))
-		for lo := 0; lo < len(keys); lo += rt.cfg.ChunkSize {
-			hi := lo + rt.cfg.ChunkSize
-			if hi > len(keys) {
-				hi = len(keys)
-			}
-			wg.Add(1)
-			go func(si wire.ShardInfo, chunk []shard.RowKey) {
-				defer wg.Done()
-				req := shard.AppendRowsRequest(nil, chunk)
+				req := shard.AppendRowsRequest(nil, want[lo:hi])
 				res := rt.forwardShard(ctx, si, http.MethodPost, "/v1/rows", shard.ContentTypeRows, req, fwd, noHedge)
-				if res.err != nil || res.status != http.StatusOK {
-					setFail(res)
-					return
-				}
-				got, derr := shard.DecodeRowsResponse(res.body)
-				if derr != nil || len(got) != len(chunk) {
-					setFail(upstream{err: fmt.Errorf("shard [%d,%d) answered malformed rows: %v", si.Lo, si.Hi, derr)})
-					return
+				if res.err == nil && res.status == http.StatusOK {
+					got, derr := shard.DecodeRowsResponse(res.body)
+					if derr == nil && len(got) == hi-lo {
+						copy(rows[lo:hi], got)
+						return
+					}
+					res = upstream{err: fmt.Errorf("shard [%d,%d) answered malformed rows: %v", si.Lo, si.Hi, derr)}
 				}
 				mu.Lock()
-				for j, k := range chunk {
-					rows[k] = got[j]
+				if fail == nil {
+					fail = &res
 				}
 				mu.Unlock()
-			}(si, keys[lo:hi])
+			}()
 		}
 	}
 	wg.Wait()
@@ -234,19 +185,25 @@ func (rt *Router) shardedAnswer(ctx context.Context, pairs []wire.QueryPair, fwd
 		return nil, fail
 	}
 
-	rowFor := func(rank int32, in bool) []label.Entry {
-		if rank < h {
-			if in {
-				row, _ := hub.InRowRanked(rank)
-				return row
-			}
-			row, _ := hub.OutRowRanked(rank)
-			return row
+	row := func(rank int32, in bool, w int32) []label.Entry {
+		switch {
+		case w > 0:
+			return rows[w-1]
+		case in:
+			r, _ := hub.InRowRanked(rank)
+			return r
+		default:
+			r, _ := hub.OutRowRanked(rank)
+			return r
 		}
-		return rows[shard.RowKey{Rank: rank, In: in}]
 	}
-	for _, mp := range merges {
-		results[mp.idx] = label.MergeDistance(rowFor(mp.rs, false), rowFor(mp.rt, true), mp.rs, mp.rt)
+	for i, p := range pairs {
+		ws, wt := where[2*i], where[2*i+1]
+		if ws == 0 && wt == 0 {
+			continue
+		}
+		rs, rtk := hub.Perm[p.S], hub.Perm[p.T]
+		results[i] = label.MergeDistance(row(rs, false, ws), row(rtk, true, wt), rs, rtk)
 	}
 	return results, nil
 }

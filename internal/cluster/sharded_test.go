@@ -20,16 +20,20 @@ import (
 )
 
 // countingHandler wraps a leaf server and counts every query request
-// reaching it (health probes to /v1/stats excluded), so tests can pin
-// which queries touched a leaf at all.
+// reaching it (health probes to /v1/stats excluded), and the POST
+// /v1/rows among them, so tests can pin which queries touched a leaf.
 type countingHandler struct {
 	h    http.Handler
 	hits atomic.Int64
+	rows atomic.Int64
 }
 
 func (c *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/v1/stats" {
 		c.hits.Add(1)
+	}
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/rows" {
+		c.rows.Add(1)
 	}
 	c.h.ServeHTTP(w, r)
 }
@@ -233,6 +237,74 @@ func TestShardedBatchMatchesDirect(t *testing.T) {
 	}
 	if rt.rowFetches.Load() == 0 {
 		t.Error("no rows were fetched in a full sweep")
+	}
+}
+
+// TestShardedBatchOneRowsRPCPerLeaf pins the routing of a batch: every
+// pair the hub cannot answer, same-leaf pairs included, is merged on the
+// router from rows, so with the default ChunkSize each leaf sees at most
+// one request, a POST /v1/rows, and the router fetches each distinct
+// leaf-ranked row once.
+func TestShardedBatchOneRowsRPCPerLeaf(t *testing.T) {
+	f, idx := buildShardFleet(t, 4)
+	rt, ts := newShardedRouter(t, f, RouterConfig{})
+
+	n, h := f.m.N, f.m.HubRanks
+	var pairs []wire.QueryPair
+	for i := int32(0); i < 100; i++ {
+		pairs = append(pairs, wire.QueryPair{S: i * 7 % n, T: (i*13 + 5) % n})
+	}
+	type rowKey struct {
+		rank int32
+		in   bool
+	}
+	keys := map[rowKey]bool{}
+	sameLeaf := 0
+	for _, p := range pairs {
+		rs, rtk := f.hub.Perm[p.S], f.hub.Perm[p.T]
+		if rs == rtk || (rs < h && rtk < h) {
+			continue
+		}
+		if rs >= h {
+			keys[rowKey{rs, false}] = true
+		}
+		if rtk >= h {
+			keys[rowKey{rtk, true}] = true
+		}
+		if f.m.Owner(rs) >= 0 && f.m.Owner(rs) == f.m.Owner(rtk) {
+			sameLeaf++
+		}
+	}
+	if sameLeaf == 0 {
+		t.Fatal("the batch holds no same-leaf pair")
+	}
+	want := idx.DistanceBatchInto(make([]uint32, len(pairs)), pairs, 4)
+
+	resp, err := http.Post(ts.URL+"/v1/batch", wire.ContentTypeBinaryBatch, bytes.NewReader(wire.AppendBatchRequest(nil, pairs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	got, err := wire.DecodeBatchResponse(nil, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pair %d (%d,%d): sharded %d, direct %d", i, pairs[i].S, pairs[i].T, got[i], want[i])
+		}
+	}
+	for i, c := range f.counters {
+		if hits, rows := c.hits.Load(), c.rows.Load(); hits > 1 || rows != hits {
+			t.Errorf("leaf %d received %d query requests, %d of them POST /v1/rows; want at most one, a rows request", i, hits, rows)
+		}
+	}
+	if got := rt.rowFetches.Load(); got != int64(len(keys)) {
+		t.Errorf("row_fetches = %d, want %d distinct leaf-ranked rows", got, len(keys))
 	}
 }
 

@@ -181,6 +181,25 @@ func WriteEntries(w io.Writer, entries []Entry) error {
 	return nil
 }
 
+// AppendEntries appends entries to dst in the v2 entry encoding (pivot
+// uint32, dist uint32, little-endian) and returns the extended slice.
+func AppendEntries(dst []byte, entries []Entry) []byte {
+	if raw, ok := entryBytes(entries); ok {
+		return append(dst, raw...)
+	}
+	for _, e := range entries {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Pivot))
+		dst = binary.LittleEndian.AppendUint32(dst, e.Dist)
+	}
+	return dst
+}
+
+// EntriesView interprets b (a multiple of 8 bytes) as entries in the v2
+// encoding. The result aliases b where the host layout and b's
+// alignment allow, else it is a decoded copy; either way b must stay
+// unmodified while the entries are in use.
+func EntriesView(b []byte) []Entry { return castEntries(b) }
+
 // ParseFlat interprets buf as a whole v2 flat index image. The returned
 // index aliases buf: its perm, offset and entry arrays are views into it
 // (O(1) allocations, nothing copied), so buf must stay alive and

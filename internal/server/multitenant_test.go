@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +17,7 @@ import (
 	hopdb "repro"
 	"repro/internal/httpmw"
 	"repro/internal/registry"
+	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -359,6 +362,51 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if st, body := post(`[[0,1],[0,2],[0,3]]`); st != 200 {
 		t.Fatalf("3-pair batch = %d %q, want 200", st, body)
+	}
+}
+
+// TestRowsAdmissionAndLatency pins /v1/rows to the batch path's
+// accounting: a row request counts its keys against MaxInflightPairs
+// (so 2 keys over a 1-pair limit shed with 429), and every row request
+// lands in the latency window.
+func TestRowsAdmissionAndLatency(t *testing.T) {
+	b := hopdb.NewGraphBuilder(false, false)
+	for i := int32(0); i < 30; i++ {
+		b.AddEdge(i, (i+1)%30, 1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	m, _, err := hopdb.BuildShards(g, hopdb.Options{}, hopdb.ShardConfig{Shards: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := hopdb.OpenShard(filepath.Join(dir, m.Shards[0].File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { q.Close() })
+	s := New(q, Config{Workers: 2, MaxInflightPairs: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	post := func(keys ...shard.RowKey) (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/rows", shard.ContentTypeRows, bytes.NewReader(shard.AppendRowsRequest(nil, keys)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, readBody(t, resp)
+	}
+	lo := m.Shards[0].Lo
+	if st, body := post(shard.RowKey{Rank: lo}, shard.RowKey{Rank: lo, In: true}); st != http.StatusTooManyRequests || !strings.Contains(body, "capacity") {
+		t.Fatalf("2-key rows request over a 1-pair limit = %d %q, want 429 capacity", st, body)
+	}
+	if st, body := post(shard.RowKey{Rank: lo}); st != http.StatusOK {
+		t.Fatalf("1-key rows request = %d %q, want 200", st, body)
+	}
+	if n := s.lat.Count(); n != 2 {
+		t.Errorf("latency window holds %d requests after two row requests, want 2", n)
 	}
 }
 

@@ -598,30 +598,36 @@ func (s *Server) handleBatch(st *dsState, w http.ResponseWriter, r *http.Request
 	s.handleBatchJSON(st, w, r)
 }
 
+// readBinary reads a fixed-width binary request body into qc.bin,
+// answering 413 or 400 itself when it cannot. The bound is exact: a
+// header plus MaxBatch 8-byte pairs, or the 2*MaxBatch 4-byte row keys
+// those pairs need.
+func (s *Server) readBinary(w http.ResponseWriter, r *http.Request, qc *queryCtx) bool {
+	maxBody := int64(s.cfg.MaxBatch)*8 + 8
+	if cap(qc.bin) < int(maxBody) {
+		qc.bin = make([]byte, 0, maxBody)
+	}
+	var err error
+	qc.bin, err = readAllInto(qc.bin[:0], http.MaxBytesReader(w, r.Body, maxBody))
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes (max-batch is %d pairs)", maxBody, s.cfg.MaxBatch))
+	} else {
+		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	}
+	return false
+}
+
 // handleBatchBinary answers a compact-binary batch (see internal/wire)
 // in kind: fixed 8 bytes per pair in, 4 bytes per result out.
 func (s *Server) handleBatchBinary(st *dsState, w http.ResponseWriter, r *http.Request) {
 	qc := s.ctxPool.Get().(*queryCtx)
 	defer s.ctxPool.Put(qc)
-
-	// The encoding is fixed-width, so the body bound is exact: header
-	// plus MaxBatch pairs.
-	maxBody := int64(s.cfg.MaxBatch)*8 + 8
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	if cap(qc.bin) < int(maxBody) {
-		qc.bin = make([]byte, 0, maxBody)
-	}
-	qc.bin = qc.bin[:0]
-	var err error
-	qc.bin, err = readAllInto(qc.bin, body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes (max-batch is %d pairs)", maxBody, s.cfg.MaxBatch))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	if !s.readBinary(w, r, qc) {
 		return
 	}
 	count, err := wire.BatchRequestCount(qc.bin)
@@ -670,31 +676,28 @@ func (s *Server) handleBatchBinary(st *dsState, w http.ResponseWriter, r *http.R
 // routing error (stale shard map), answered 502 so the router retries
 // elsewhere.
 func (s *Server) handleRows(st *dsState, w http.ResponseWriter, r *http.Request) {
+	t0 := s.now()
+	defer func() { s.observe(st, t0) }()
 	if st.rows == nil {
 		writeError(w, http.StatusNotImplemented,
 			fmt.Sprintf("backend %q does not serve label rows (shard backends only)", st.backend.Backend))
 		return
 	}
-	// Keys are 4 bytes each; a batch of MaxBatch pairs needs at most
-	// 2*MaxBatch rows, so the exact bound mirrors the binary batch one.
-	maxBody := int64(s.cfg.MaxBatch)*8 + 8
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	buf, err := readAllInto(nil, body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes (max-batch is %d pairs)", maxBody, s.cfg.MaxBatch))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	qc := s.ctxPool.Get().(*queryCtx)
+	defer s.ctxPool.Put(qc)
+	if !s.readBinary(w, r, qc) {
 		return
 	}
-	keys, err := shard.DecodeRowsRequest(buf)
+	keys, err := shard.DecodeRowsRequest(qc.bin)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	release, ok := s.admit(w, len(keys))
+	if !ok {
+		return
+	}
+	defer release()
 	rows := make([][]label.Entry, len(keys))
 	for i, k := range keys {
 		var ok bool
@@ -709,10 +712,10 @@ func (s *Server) handleRows(st *dsState, w http.ResponseWriter, r *http.Request)
 			return
 		}
 	}
-	out := shard.AppendRowsResponse(nil, rows)
+	qc.bin = shard.AppendRowsResponse(qc.bin[:0], rows)
 	w.Header().Set("Content-Type", shard.ContentTypeRows)
 	w.WriteHeader(http.StatusOK)
-	w.Write(out)
+	w.Write(qc.bin)
 }
 
 func (s *Server) handleBatchJSON(st *dsState, w http.ResponseWriter, r *http.Request) {

@@ -14,6 +14,7 @@ package shard_test
 // plain `go test` replays the seed corpus.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -92,7 +93,8 @@ func FuzzShardParse(f *testing.F) {
 // FuzzDecodeRows fuzzes both directions of the row-fetch codec, seeded
 // from round-trip bodies. An accepted request holds exactly its declared
 // key count; an accepted response holds exactly its declared row count,
-// with every entry backed by 8 input bytes.
+// with every entry backed by 8 input bytes, and re-encodes to the input
+// byte for byte.
 func FuzzDecodeRows(f *testing.F) {
 	req := shard.AppendRowsRequest(nil, []shard.RowKey{{Rank: 0}, {Rank: 12, In: true}, {Rank: 1<<30 + 5}})
 	resp := shard.AppendRowsResponse(nil, [][]label.Entry{
@@ -131,6 +133,9 @@ func FuzzDecodeRows(f *testing.F) {
 		}
 		if 8+4*count+8*entries != int64(len(b)) {
 			t.Fatalf("response decoded %d rows / %d entries from %d bytes", count, entries, len(b))
+		}
+		if again := shard.AppendRowsResponse(nil, rows); !bytes.Equal(again, b) {
+			t.Fatalf("accepted response re-encodes to %x, input was %x", again, b)
 		}
 	})
 }

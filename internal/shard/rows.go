@@ -1,7 +1,7 @@
 // Row-fetch wire codec: the scatter-gather primitive of sharded
-// serving. A router that needs Out(rank(s)) and In(rank(t)) from two
-// different shards POSTs a batch of row keys to each owning shard's
-// /v1/rows and merges the returned label rows locally.
+// serving. A router answers every pair its hub cannot by merging
+// Out(rank(s)) and In(rank(t)) locally; it POSTs the batch's row keys to
+// each owning shard's /v1/rows.
 //
 // Request ("HRQ1"): magic, uint32 count, then count uint32 keys — the
 // rank in the low 31 bits, high bit set for the In family.
@@ -69,24 +69,30 @@ func DecodeRowsRequest(b []byte) ([]RowKey, error) {
 }
 
 // AppendRowsResponse appends the encoded response carrying rows (in
-// request key order) to dst and returns the extended slice.
+// request key order) to dst and returns the extended slice, growing dst
+// at most once.
 func AppendRowsResponse(dst []byte, rows [][]label.Entry) []byte {
+	size := 8 + 4*len(rows)
+	for _, row := range rows {
+		size += 8 * len(row)
+	}
+	if cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
 	dst = append(dst, rowsRespMagic...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rows)))
 	for _, row := range rows {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(row)))
 	}
 	for _, row := range rows {
-		for _, e := range row {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Pivot))
-			dst = binary.LittleEndian.AppendUint32(dst, e.Dist)
-		}
+		dst = label.AppendEntries(dst, row)
 	}
 	return dst
 }
 
-// DecodeRowsResponse parses a row-fetch response body. Returned rows
-// are freshly allocated (no aliasing into b).
+// DecodeRowsResponse parses a row-fetch response body. The returned
+// rows alias b (label.EntriesView), so b must stay unmodified while
+// they are in use.
 func DecodeRowsResponse(b []byte) ([][]label.Entry, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("shard: rows response too short (%d bytes)", len(b))
@@ -98,27 +104,19 @@ func DecodeRowsResponse(b []byte) ([][]label.Entry, error) {
 	if int64(len(b)) < 8+count*4 {
 		return nil, fmt.Errorf("shard: rows response length %d too short for %d row lengths", len(b), count)
 	}
-	lens := make([]int64, count)
-	var total int64
-	for i := range lens {
-		lens[i] = int64(binary.LittleEndian.Uint32(b[8+4*int64(i):]))
-		total += lens[i]
-	}
 	pos := 8 + count*4
+	var total int64
+	for i := int64(8); i < pos; i += 4 {
+		total += int64(binary.LittleEndian.Uint32(b[i:]))
+	}
 	if int64(len(b)) != pos+total*8 {
 		return nil, fmt.Errorf("shard: rows response length %d does not match %d entries", len(b), total)
 	}
+	flat := label.EntriesView(b[pos:])
 	rows := make([][]label.Entry, count)
-	flat := make([]label.Entry, total)
-	for i := range flat {
-		flat[i] = label.Entry{
-			Pivot: int32(binary.LittleEndian.Uint32(b[pos:])),
-			Dist:  binary.LittleEndian.Uint32(b[pos+4:]),
-		}
-		pos += 8
-	}
 	var off int64
-	for i, n := range lens {
+	for i := range rows {
+		n := int64(binary.LittleEndian.Uint32(b[8+4*i:]))
 		rows[i] = flat[off : off+n : off+n]
 		off += n
 	}

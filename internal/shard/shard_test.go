@@ -121,6 +121,10 @@ func TestRowsCodecRoundTrip(t *testing.T) {
 		}
 	}
 
+	if n := testing.AllocsPerRun(100, func() { shard.AppendRowsResponse(nil, rows) }); n != 1 {
+		t.Errorf("AppendRowsResponse(nil, rows) made %v allocations, want 1", n)
+	}
+
 	for name, b := range map[string][]byte{
 		"short request":     req[:6],
 		"bad request magic": append([]byte("XXXX"), req[4:]...),

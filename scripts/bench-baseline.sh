@@ -2,8 +2,8 @@
 # Prints a baseline result set on standard output: all five workloads of
 # the benchmark harness, untraced, --seconds 12, seeds 1-3, as one JSON
 # array of the harness's own result files (15 runs, about 5 minutes) —
-# the form `bash benchmark/run.sh -compare a.json b.json` reads. The
-# committed BENCH_PR<n>.json files are this script's output:
+# the form `bash benchmark/run.sh -compare a.json b.json` reads.
+# BENCH_PR17.json is this script's output:
 #   bash scripts/bench-baseline.sh > BENCH_PR17.json
 # Timings only compare between sets taken on one machine, close together.
 set -euo pipefail
