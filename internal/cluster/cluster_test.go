@@ -82,13 +82,13 @@ func TestPoolHealthAndPick(t *testing.T) {
 		t.Fatalf("Healthy() = %d, want 1", got)
 	}
 	for i := 0; i < 20; i++ {
-		ep := pool.Pick(nil)
+		ep := pool.PickDataset(wire.DefaultDataset, nil)
 		if ep == nil || ep.url != alive.URL {
-			t.Fatalf("Pick returned %v, want the healthy replica", ep)
+			t.Fatalf("PickDataset returned %v, want the healthy replica", ep)
 		}
 	}
-	if ep := pool.Pick(func(u string) bool { return u == alive.URL }); ep != nil {
-		t.Fatalf("Pick with everything excluded = %v, want nil", ep)
+	if ep := pool.PickDataset(wire.DefaultDataset, func(u string) bool { return u == alive.URL }); ep != nil {
+		t.Fatalf("PickDataset with everything excluded = %v, want nil", ep)
 	}
 	if v := pool.Vertices(); v != 42 {
 		t.Fatalf("Vertices() = %d, want 42", v)

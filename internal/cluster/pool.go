@@ -224,12 +224,6 @@ func (p *Pool) Stop() {
 	p.done.Wait()
 }
 
-// Pick selects a healthy replica of the default dataset not rejected by
-// exclude; see PickDataset.
-func (p *Pool) Pick(exclude func(url string) bool) *endpoint {
-	return p.PickDataset(wire.DefaultDataset, exclude)
-}
-
 // PickDataset selects a healthy replica advertising dataset and not
 // rejected by exclude (nil accepts all): with two or more candidates it
 // samples two distinct ones uniformly and returns the less loaded

@@ -67,85 +67,3 @@ func WeakComponents(g *Graph) ([]int32, ComponentStats) {
 	}
 	return comp, stats
 }
-
-// StronglyConnectedComponents computes SCC ids with Tarjan's algorithm
-// (iterative, so deep graphs cannot overflow the goroutine stack).
-// Undirected graphs return their weak components.
-func StronglyConnectedComponents(g *Graph) ([]int32, int) {
-	if !g.Directed() {
-		comp, st := WeakComponents(g)
-		return comp, st.Components
-	}
-	n := g.N()
-	const unvisited = -1
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	comp := make([]int32, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = -1
-	}
-	var stack []int32
-	var nextIndex int32
-	var nextComp int32
-
-	type frame struct {
-		v   int32
-		adj int
-	}
-	var callStack []frame
-	for root := int32(0); root < n; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		callStack = callStack[:0]
-		callStack = append(callStack, frame{v: root})
-		index[root] = nextIndex
-		low[root] = nextIndex
-		nextIndex++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			adj := g.OutNeighbors(f.v)
-			if f.adj < len(adj) {
-				w := adj[f.adj]
-				f.adj++
-				if index[w] == unvisited {
-					index[w] = nextIndex
-					low[w] = nextIndex
-					nextIndex++
-					stack = append(stack, w)
-					onStack[w] = true
-					callStack = append(callStack, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			// Post-order: close the SCC if v is a root.
-			v := f.v
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				parent := &callStack[len(callStack)-1]
-				if low[v] < low[parent.v] {
-					low[parent.v] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = nextComp
-					if w == v {
-						break
-					}
-				}
-				nextComp++
-			}
-		}
-	}
-	return comp, int(nextComp)
-}

@@ -31,60 +31,3 @@ func TestWeakComponentsDirectedIgnoresDirection(t *testing.T) {
 		t.Fatalf("components = %d, want 1: %v", st.Components, comp)
 	}
 }
-
-func TestSCCCycleAndTail(t *testing.T) {
-	b := NewBuilder(true, false)
-	// Cycle 0->1->2->0 plus a tail 2->3->4.
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(1, 2, 1)
-	b.AddEdge(2, 0, 1)
-	b.AddEdge(2, 3, 1)
-	b.AddEdge(3, 4, 1)
-	g := mustBuild(t, b)
-	comp, count := StronglyConnectedComponents(g)
-	if count != 3 {
-		t.Fatalf("SCC count = %d, want 3 (cycle + 2 singletons): %v", count, comp)
-	}
-	if comp[0] != comp[1] || comp[1] != comp[2] {
-		t.Errorf("cycle split across SCCs: %v", comp)
-	}
-	if comp[3] == comp[0] || comp[4] == comp[3] {
-		t.Errorf("tail vertices misgrouped: %v", comp)
-	}
-}
-
-func TestSCCDeepChain(t *testing.T) {
-	// A long chain exercises the iterative Tarjan (a recursive version
-	// would be fine in Go but the frame logic must still be right).
-	b := NewBuilder(true, false)
-	const n = 20000
-	for v := int32(0); v+1 < n; v++ {
-		b.AddEdge(v, v+1, 1)
-	}
-	g := mustBuild(t, b)
-	_, count := StronglyConnectedComponents(g)
-	if count != n {
-		t.Fatalf("chain SCC count = %d, want %d", count, n)
-	}
-	// And one big cycle collapses to a single SCC.
-	b2 := NewBuilder(true, false)
-	for v := int32(0); v < n; v++ {
-		b2.AddEdge(v, (v+1)%n, 1)
-	}
-	g2 := mustBuild(t, b2)
-	_, count2 := StronglyConnectedComponents(g2)
-	if count2 != 1 {
-		t.Fatalf("cycle SCC count = %d, want 1", count2)
-	}
-}
-
-func TestSCCUndirectedFallsBack(t *testing.T) {
-	b := NewBuilder(false, false)
-	b.AddEdge(0, 1, 1)
-	b.Grow(3)
-	g := mustBuild(t, b)
-	_, count := StronglyConnectedComponents(g)
-	if count != 2 {
-		t.Fatalf("undirected fallback count = %d, want 2", count)
-	}
-}

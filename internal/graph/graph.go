@@ -1,7 +1,7 @@
 // Package graph provides the compressed-sparse-row graph substrate used by
 // every other package in this repository: construction, adjacency access,
-// text and binary serialization, transposition, relabeling, and the
-// scale-free statistics the paper's analysis relies on.
+// text serialization, relabeling, and the scale-free statistics the
+// paper's analysis relies on.
 //
 // Graphs are static. Vertices are dense int32 identifiers in [0, N).
 // Directed graphs keep both out- and in-adjacency so that label
@@ -14,7 +14,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Infinity is the distance reported for unreachable vertex pairs.
@@ -106,17 +106,15 @@ func (g *Graph) Degree(v int32) int32 {
 // HasEdge reports whether an arc u->v exists, using binary search over the
 // sorted adjacency.
 func (g *Graph) HasEdge(u, v int32) bool {
-	adj := g.OutNeighbors(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	return i < len(adj) && adj[i] == v
+	_, ok := slices.BinarySearch(g.OutNeighbors(u), v)
+	return ok
 }
 
 // EdgeWeight returns the weight of arc u->v and whether it exists.
 // Unweighted edges report weight 1.
 func (g *Graph) EdgeWeight(u, v int32) (int32, bool) {
-	adj := g.OutNeighbors(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	if i >= len(adj) || adj[i] != v {
+	i, ok := slices.BinarySearch(g.OutNeighbors(u), v)
+	if !ok {
 		return 0, false
 	}
 	if g.outW == nil {
@@ -161,28 +159,10 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("graph{%s %s |V|=%d |E|=%d}", kind, w, g.n, g.EdgeCount())
 }
 
-// Transpose returns the graph with every arc reversed. Undirected graphs
-// return themselves (transposition is the identity).
-func (g *Graph) Transpose() *Graph {
-	if !g.directed {
-		return g
-	}
-	return &Graph{
-		directed: true,
-		weighted: g.weighted,
-		n:        g.n,
-		arcs:     g.arcs,
-		outOff:   g.inOff,
-		outAdj:   g.inAdj,
-		outW:     g.inW,
-		inOff:    g.outOff,
-		inAdj:    g.outAdj,
-		inW:      g.outW,
-	}
-}
-
 // Relabel returns a copy of g with vertex v renamed to perm[v]. perm must
-// be a permutation of [0, N).
+// be a permutation of [0, N). The CSR is permuted directly: rows move to
+// their new positions, neighbors are mapped through perm, and each row is
+// re-sorted with its weights.
 func (g *Graph) Relabel(perm []int32) (*Graph, error) {
 	if int32(len(perm)) != g.n {
 		return nil, fmt.Errorf("graph: permutation length %d != |V| %d", len(perm), g.n)
@@ -194,21 +174,27 @@ func (g *Graph) Relabel(perm []int32) (*Graph, error) {
 		}
 		seen[p] = true
 	}
-	b := NewBuilder(g.directed, g.weighted)
-	b.Grow(g.n)
-	for u := int32(0); u < g.n; u++ {
-		adj := g.OutNeighbors(u)
-		w := g.OutWeights(u)
-		for i, v := range adj {
-			if !g.directed && u > v {
-				continue // add each undirected edge once
-			}
-			wt := int32(1)
-			if w != nil {
-				wt = w[i]
-			}
-			b.AddEdge(perm[u], perm[v], wt)
+	off := make([]int64, len(g.outOff))
+	for u, p := range perm {
+		off[p+1] = g.outOff[u+1] - g.outOff[u]
+	}
+	for v := range g.n {
+		off[v+1] += off[v]
+	}
+	adj := make([]int32, len(g.outAdj))
+	var w []int32
+	if g.outW != nil {
+		w = make([]int32, len(g.outW))
+	}
+	for u, p := range perm {
+		lo, hi, dst := g.outOff[u], g.outOff[u+1], off[p]
+		for i, v := range g.outAdj[lo:hi] {
+			adj[dst+int64(i)] = perm[v]
+		}
+		if w != nil {
+			copy(w[dst:], g.outW[lo:hi])
 		}
 	}
-	return b.Build()
+	adj, w = sortRows(off, adj, w) // a permutation leaves no duplicates
+	return newGraph(g.directed, g.weighted, off, adj, w), nil
 }

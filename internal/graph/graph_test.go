@@ -50,13 +50,6 @@ func TestBuilderBasicsDirected(t *testing.T) {
 	if g.HasEdge(1, 0) {
 		t.Error("directed graph must not have the reverse arc")
 	}
-	tr := g.Transpose()
-	if !tr.HasEdge(1, 0) || tr.HasEdge(0, 1) {
-		t.Error("transpose edges wrong")
-	}
-	if tr.Transpose().String() != g.String() {
-		t.Error("double transpose changed the summary")
-	}
 }
 
 func TestBuilderNormalization(t *testing.T) {
@@ -170,44 +163,6 @@ func TestEdgeListParsing(t *testing.T) {
 	}
 	if _, err := ReadEdgeList(strings.NewReader("0 1\n"), false, true); err == nil {
 		t.Error("missing weight accepted for weighted graph")
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		for _, weighted := range []bool{false, true} {
-			b := NewBuilder(directed, weighted)
-			b.Grow(6)
-			b.AddEdge(0, 1, 3)
-			b.AddEdge(1, 4, 8)
-			b.AddEdge(2, 3, 1)
-			g := mustBuild(t, b)
-			var buf bytes.Buffer
-			if err := WriteBinary(&buf, g); err != nil {
-				t.Fatal(err)
-			}
-			g2, err := ReadBinary(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g2.String() != g.String() {
-				t.Errorf("round trip: %v vs %v", g2, g)
-			}
-			if weighted {
-				if w, _ := g2.EdgeWeight(1, 4); w != 8 {
-					t.Errorf("weight lost: %d", w)
-				}
-			}
-		}
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("NOPE00000"))); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
 	}
 }
 

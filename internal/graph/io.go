@@ -2,9 +2,9 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -31,13 +31,13 @@ func ReadEdgeList(r io.Reader, directed, weighted bool) (*Graph, error) {
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("graph: line %d: want at least 2 fields, got %q", lineNo, line)
 		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
+		u, err := parseID(fields[0])
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad source %q: %v", lineNo, fields[0], err)
+			return nil, fmt.Errorf("graph: line %d: bad source: %v", lineNo, err)
 		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
+		v, err := parseID(fields[1])
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad target %q: %v", lineNo, fields[1], err)
+			return nil, fmt.Errorf("graph: line %d: bad target: %v", lineNo, err)
 		}
 		w := int64(1)
 		if weighted {
@@ -49,12 +49,26 @@ func ReadEdgeList(r io.Reader, directed, weighted bool) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q: %v", lineNo, fields[2], err)
 			}
 		}
-		b.AddEdge(int32(u), int32(v), int32(w))
+		b.AddEdge(u, v, int32(w))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return b.Build()
+}
+
+// parseID parses a vertex id. Ids are checked in int64 so that one whose
+// vertex count would overflow int32 (2^31-1 and up) is refused here,
+// before the Builder sizes anything by it.
+func parseID(f string) (int32, error) {
+	id, err := strconv.ParseInt(f, 10, 64)
+	if err != nil {
+		return 0, err
+	}
+	if id < 0 || id >= math.MaxInt32 {
+		return 0, fmt.Errorf("vertex id %d outside [0, %d)", id, math.MaxInt32)
+	}
+	return int32(id), nil
 }
 
 // WriteEdgeList writes g in the text edge-list format. Undirected edges
@@ -100,144 +114,4 @@ func SaveEdgeListFile(path string, g *Graph) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Binary format: magic "HDGR", version byte, flags byte (bit0 directed,
-// bit1 weighted), uint32 n, uint64 arcs, then outOff as uint64[n+1],
-// outAdj as uint32[arcs], and weights as uint32[arcs] when weighted.
-// Directed graphs rebuild the in-side on load.
-
-const binMagic = "HDGR"
-
-// WriteBinary serializes g in the compact binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binMagic); err != nil {
-		return err
-	}
-	flags := byte(0)
-	if g.directed {
-		flags |= 1
-	}
-	if g.weighted {
-		flags |= 2
-	}
-	if err := bw.WriteByte(1); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(flags); err != nil {
-		return err
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[:4], uint32(g.n))
-	if _, err := bw.Write(buf[:4]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(buf[:8], uint64(g.arcs))
-	if _, err := bw.Write(buf[:8]); err != nil {
-		return err
-	}
-	for _, off := range g.outOff {
-		binary.LittleEndian.PutUint64(buf[:8], uint64(off))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return err
-		}
-	}
-	for _, v := range g.outAdj {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return err
-		}
-	}
-	if g.weighted {
-		for _, wt := range g.outW {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(wt))
-			if _, err := bw.Write(buf[:4]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != binMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	version, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if version != 1 {
-		return nil, fmt.Errorf("graph: unsupported version %d", version)
-	}
-	flags, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	directed := flags&1 != 0
-	weighted := flags&2 != 0
-	var buf [8]byte
-	if _, err := io.ReadFull(br, buf[:4]); err != nil {
-		return nil, err
-	}
-	n := int32(binary.LittleEndian.Uint32(buf[:4]))
-	if _, err := io.ReadFull(br, buf[:8]); err != nil {
-		return nil, err
-	}
-	arcs := int64(binary.LittleEndian.Uint64(buf[:8]))
-	if n < 0 || arcs < 0 {
-		return nil, fmt.Errorf("graph: corrupt header (n=%d arcs=%d)", n, arcs)
-	}
-	outOff := make([]int64, n+1)
-	for i := range outOff {
-		if _, err := io.ReadFull(br, buf[:8]); err != nil {
-			return nil, err
-		}
-		outOff[i] = int64(binary.LittleEndian.Uint64(buf[:8]))
-	}
-	if outOff[n] != arcs {
-		return nil, fmt.Errorf("graph: offset table inconsistent with arc count")
-	}
-	outAdj := make([]int32, arcs)
-	for i := range outAdj {
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return nil, err
-		}
-		outAdj[i] = int32(binary.LittleEndian.Uint32(buf[:4]))
-	}
-	var outW []int32
-	if weighted {
-		outW = make([]int32, arcs)
-		for i := range outW {
-			if _, err := io.ReadFull(br, buf[:4]); err != nil {
-				return nil, err
-			}
-			outW[i] = int32(binary.LittleEndian.Uint32(buf[:4]))
-		}
-	}
-	// Rebuild through the Builder so the in-side and all invariants are
-	// re-derived rather than trusted from the file.
-	b := NewBuilder(directed, weighted)
-	b.Grow(n)
-	for u := int32(0); u < n; u++ {
-		for i := outOff[u]; i < outOff[u+1]; i++ {
-			v := outAdj[i]
-			if !directed && u > v {
-				continue
-			}
-			w := int32(1)
-			if outW != nil {
-				w = outW[i]
-			}
-			b.AddEdge(u, v, w)
-		}
-	}
-	return b.Build()
 }

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Stats captures the scale-free characteristics the paper's analysis is
@@ -38,7 +38,8 @@ func SortedDegrees(g *Graph) []int32 {
 	for v := int32(0); v < g.N(); v++ {
 		degs[v] = g.Degree(v)
 	}
-	sort.Slice(degs, func(i, j int) bool { return degs[i] > degs[j] })
+	slices.Sort(degs)
+	slices.Reverse(degs)
 	return degs
 }
 
@@ -103,9 +104,6 @@ func Expansion(g *Graph, sample int32) (z1, z2 float64) {
 		sample = n
 	}
 	step := n / sample
-	if step == 0 {
-		step = 1
-	}
 	mark := make([]int32, n)
 	for i := range mark {
 		mark[i] = -1
@@ -133,8 +131,6 @@ func Expansion(g *Graph, sample int32) (z1, z2 float64) {
 		}
 		t2 += float64(second)
 		taken++
-		// Reset marks lazily: mark stores the source id so no reset pass
-		// is needed, but the source itself must be cleared for reuse.
 	}
 	if taken == 0 {
 		return 0, 0
@@ -215,9 +211,6 @@ func HopDiameter(g *Graph, exhaustive bool, sample int32) (int32, bool) {
 	}
 	try(top)
 	step := n / sample
-	if step == 0 {
-		step = 1
-	}
 	for s := int32(0); s < n; s += step {
 		try(s)
 	}

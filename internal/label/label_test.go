@@ -227,15 +227,3 @@ func TestCoverage(t *testing.T) {
 		t.Errorf("curve at 0%% vertices = %v", st.Curve[0])
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	x := NewIndex(5, false, false)
-	x.Out[1] = []Entry{{0, 1}}
-	x.Out[2] = []Entry{{0, 1}, {1, 1}}
-	h := Histogram(x, 3)
-	// Vertices 0, 3, 4 have empty labels; vertex 1 has one entry; vertex
-	// 2 lands in the overflow bucket.
-	if h[0] != 3 || h[1] != 1 || h[2] != 1 {
-		t.Errorf("histogram = %v", h)
-	}
-}

@@ -67,25 +67,3 @@ func Coverage(x *Index, thresholds []float64, curvePoints int, curveMaxFrac floa
 	}
 	return st
 }
-
-// Histogram returns counts[s] = number of vertices whose total label size
-// (in + out, non-trivial) equals s. The trailing entry aggregates sizes
-// >= len(counts)-1.
-func Histogram(x *Index, buckets int) []int64 {
-	if buckets < 2 {
-		buckets = 2
-	}
-	counts := make([]int64, buckets)
-	for v := int32(0); v < x.N; v++ {
-		sz := len(x.Out[v])
-		if x.Directed {
-			sz += len(x.In[v])
-		}
-		if sz >= buckets-1 {
-			counts[buckets-1]++
-		} else {
-			counts[sz]++
-		}
-	}
-	return counts
-}
