@@ -96,7 +96,7 @@ func main() {
 		replicaSeq = flag.Int64("replica-seq", 0, "journal sequence the -idx snapshot was saved at (the primary's updates.seq at save time); replication resumes from there")
 		replicaDS  = flag.String("replica-dataset", "", "primary-side dataset whose journal is replayed (default: the default dataset)")
 		addr       = flag.String("addr", ":8080", "listen address")
-		cache      = flag.Int("cache", 0, "distance cache budget in entries, per dataset (0 disables)")
+		cache      = flag.Int("cache", 0, "GET /v1/distance cache budget in entries, per dataset (0 disables; batches skip it: hot hub pairs merge faster than a probe)")
 		workers    = flag.Int("workers", 0, "batch worker pool size (default GOMAXPROCS)")
 		maxBatch   = flag.Int("max-batch", server.DefaultMaxBatch, "largest accepted batch request, in pairs")
 		timeout    = flag.Duration("timeout", 10*time.Second, "per-request timeout on query routes (0 disables)")

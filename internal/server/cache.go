@@ -1,24 +1,22 @@
 package server
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/lru"
 )
 
-// cacheShards is the fixed shard count of the distance cache. Sixteen
-// mutex-guarded shards keep lock hold times tiny and let up to sixteen
-// cores hit the cache without contending; the shard is picked from a
-// mixed hash of the pair key so skewed workloads still spread out.
-const cacheShards = 16
+// cacheWays is the associativity of the distance cache: each set holds
+// up to eight entries, kept in recency order.
+const cacheWays = 8
 
-// distCache is a sharded LRU cache of answered distance queries (each
-// shard layering a mutex over the shared internal/lru core). It sits
-// in front of the label merge join for skewed (power-law) query
-// workloads, where a small set of hot pairs dominates traffic. Both
-// reachable distances and Infinity (unreachable) answers are cached —
-// negative answers are exactly as expensive to recompute.
+// distCache is a set-associative cache of answered GET /v1/distance
+// pairs: a power-of-two array of sets, each an exact LRU over at most
+// cacheWays entries under its own mutex. The table holds no pointers
+// and put allocates nothing. Both reachable distances and Infinity
+// (unreachable) answers are cached — negative answers are exactly as
+// expensive to recompute. Batches never consult it: the hot pairs of
+// hub-skewed traffic merge in less time than a probe costs.
 //
 // Entries are generation-tagged so edge updates can invalidate them
 // race-free: a reader that computed its answer against a pre-update
@@ -28,36 +26,44 @@ const cacheShards = 16
 // served.
 type distCache struct {
 	undirected bool // canonicalize (s,t) so both query directions share an entry
+	ways       int  // entries per set: cacheWays, or the whole budget when smaller
+	shift      uint // 64 - log2(len(sets)): the top hash bits pick the set
+	sets       []cacheSet
 	gen        atomic.Uint32
-	shards     [cacheShards]cacheShard
 	hits       atomic.Int64
 	misses     atomic.Int64
 }
 
-// cacheVal is one cached answer plus the cache generation it was
+// cacheSet is one set: slots[:n] are live, most recently used first.
+type cacheSet struct {
+	mu    sync.Mutex
+	n     int
+	slots [cacheWays]cacheSlot
+}
+
+// cacheSlot is one cached answer plus the cache generation it was
 // computed under.
-type cacheVal struct {
-	d   uint32
-	gen uint32
+type cacheSlot struct {
+	key  uint64
+	dist uint32
+	gen  uint32
 }
 
-type cacheShard struct {
-	mu sync.Mutex
-	c  *lru.Cache[uint64, cacheVal]
-}
-
-// newDistCache builds a cache holding about `entries` pairs in total.
-// It returns nil (cache disabled) for entries <= 0.
+// newDistCache builds a cache holding at least `entries` pairs and
+// fewer than twice that. It returns nil (cache disabled) for
+// entries <= 0.
 func newDistCache(entries int, undirected bool) *distCache {
 	if entries <= 0 {
 		return nil
 	}
-	perShard := (entries + cacheShards - 1) / cacheShards
-	c := &distCache{undirected: undirected}
-	for i := range c.shards {
-		c.shards[i].c = lru.New[uint64, cacheVal](perShard)
+	ways := min(entries, cacheWays)
+	nsets := 1 << bits.Len(uint((entries+ways-1)/ways-1))
+	return &distCache{
+		undirected: undirected,
+		ways:       ways,
+		shift:      uint(64 - bits.TrailingZeros(uint(nsets))),
+		sets:       make([]cacheSet, nsets),
 	}
-	return c
 }
 
 // generation returns the current cache generation. Capture it BEFORE
@@ -74,11 +80,27 @@ func (c *distCache) pairKey(s, t int32) uint64 {
 	return uint64(uint32(s))<<32 | uint64(uint32(t))
 }
 
-// shardOf mixes the key (fibonacci hashing) so sequential vertex ids do
-// not all land in one shard, then takes the top bits.
-func (c *distCache) shardOf(key uint64) *cacheShard {
-	h := key * 0x9e3779b97f4a7c15
-	return &c.shards[h>>(64-4)]
+// setOf mixes the key (fibonacci hashing) so sequential vertex ids do
+// not all land in one set, then takes the top bits. A shift of 64 (one
+// set) yields 0.
+func (c *distCache) setOf(key uint64) *cacheSet {
+	return &c.sets[(key*0x9e3779b97f4a7c15)>>c.shift]
+}
+
+// find returns the index of key among the set's live slots, or -1.
+func (cs *cacheSet) find(key uint64) int {
+	for i := range cs.slots[:cs.n] {
+		if cs.slots[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// toFront moves slot i to the most recently used position, storing v.
+func (cs *cacheSet) toFront(i int, v cacheSlot) {
+	copy(cs.slots[1:i+1], cs.slots[:i])
+	cs.slots[0] = v
 }
 
 // get returns the cached distance for (s,t) and whether it was present,
@@ -87,27 +109,37 @@ func (c *distCache) shardOf(key uint64) *cacheShard {
 // as misses.
 func (c *distCache) get(s, t int32) (uint32, bool) {
 	key := c.pairKey(s, t)
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	v, ok := sh.c.Get(key)
-	sh.mu.Unlock()
-	if ok && v.gen == c.gen.Load() {
+	cs := c.setOf(key)
+	cs.mu.Lock()
+	if i := cs.find(key); i >= 0 && cs.slots[i].gen == c.gen.Load() {
+		v := cs.slots[i]
+		cs.toFront(i, v)
+		cs.mu.Unlock()
 		c.hits.Add(1)
-		return v.d, true
+		return v.dist, true
 	}
+	cs.mu.Unlock()
 	c.misses.Add(1)
 	return 0, false
 }
 
 // put records an answered query under the generation the caller captured
-// before computing it, evicting the shard's least recently used entry
-// when the shard is at capacity.
+// before computing it, evicting the set's least recently used entry
+// when the set is full.
 func (c *distCache) put(s, t int32, d uint32, gen uint32) {
 	key := c.pairKey(s, t)
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	sh.c.Put(key, cacheVal{d: d, gen: gen})
-	sh.mu.Unlock()
+	cs := c.setOf(key)
+	v := cacheSlot{key: key, dist: d, gen: gen}
+	cs.mu.Lock()
+	i := cs.find(key)
+	if i < 0 {
+		if cs.n < c.ways {
+			cs.n++
+		}
+		i = cs.n - 1 // a free slot, or the LRU entry to evict
+	}
+	cs.toFront(i, v)
+	cs.mu.Unlock()
 }
 
 // purge invalidates every cached entry, keeping the capacity and the
@@ -115,34 +147,30 @@ func (c *distCache) put(s, t int32, d uint32, gen uint32) {
 // any cached pair may now be stale, and serving it would undo the
 // update's visibility guarantee. The generation bump is what makes the
 // invalidation airtight (in-flight answers computed pre-update die on
-// arrival); dropping the entries just returns the memory promptly.
+// arrival); clearing every slot means a generation that wraps round
+// finds no entry from its previous lap.
 func (c *distCache) purge() {
 	c.gen.Add(1)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.c = lru.New[uint64, cacheVal](sh.c.Cap())
-		sh.mu.Unlock()
+	for i := range c.sets {
+		cs := &c.sets[i]
+		cs.mu.Lock()
+		cs.n = 0
+		cs.slots = [cacheWays]cacheSlot{}
+		cs.mu.Unlock()
 	}
 }
 
-// len returns the number of cached entries across all shards.
+// len returns the number of cached entries across all sets.
 func (c *distCache) len() int {
 	total := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		total += sh.c.Len()
-		sh.mu.Unlock()
+	for i := range c.sets {
+		cs := &c.sets[i]
+		cs.mu.Lock()
+		total += cs.n
+		cs.mu.Unlock()
 	}
 	return total
 }
 
-// capacity returns the total entry budget across all shards.
-func (c *distCache) capacity() int {
-	total := 0
-	for i := range c.shards {
-		total += c.shards[i].c.Cap()
-	}
-	return total
-}
+// capacity returns the total entry budget across all sets.
+func (c *distCache) capacity() int { return len(c.sets) * c.ways }

@@ -6,8 +6,8 @@
 // (see cmd/hopdb-serve).
 //
 // The hot path adds only per-request state, drawn from a sync.Pool,
-// plus an optional per-dataset sharded LRU cache of answered pairs for
-// skewed workloads; every Querier backend is safe for concurrent
+// plus an optional per-dataset cache of answered GET /v1/distance pairs
+// (batches skip it); every Querier backend is safe for concurrent
 // queries by contract. Datasets live in a registry (internal/registry)
 // supporting hot attach/detach: resolution is one atomic load, and a
 // detached dataset's backend closes only after in-flight requests
@@ -100,7 +100,8 @@ const DefaultMaxBatch = 10000
 // Config tunes a Server.
 type Config struct {
 	// CacheEntries is the distance cache budget in entries (pairs), per
-	// dataset; 0 disables the cache.
+	// dataset; 0 disables the cache. The cache serves GET /v1/distance
+	// only: a batch's hot hub pairs merge in less time than a probe.
 	CacheEntries int
 	// MaxBatch is the largest accepted /v1/batch request, in pairs
 	// (default DefaultMaxBatch). Larger batches get HTTP 413.
@@ -197,18 +198,15 @@ func (p *jsonPair) UnmarshalJSON(b []byte) error {
 }
 
 // queryCtx is the pooled per-request scratch: decode buffers, converted
-// pairs, result distances, and the cache-miss index lists. Pooling it
-// keeps steady-state /v1/batch handling at O(1) allocations regardless
-// of batch size.
+// pairs and result distances. Pooling it keeps steady-state /v1/batch
+// handling at O(1) allocations regardless of batch size. A batch goes
+// straight to the backend, never through the distance cache.
 type queryCtx struct {
-	raw       []jsonPair
-	bin       []byte // binary request/response scratch
-	pairs     []hopdb.QueryPair
-	dists     []uint32
-	missPairs []hopdb.QueryPair
-	missDists []uint32
-	missIdx   []int
-	results   []DistanceResult
+	raw     []jsonPair
+	bin     []byte // binary request/response scratch
+	pairs   []hopdb.QueryPair
+	dists   []uint32
+	results []DistanceResult
 }
 
 // New wraps q in a Server as its sole (initial) dataset, named
@@ -427,7 +425,9 @@ func (s *Server) queryOne(st *dsState, sv, tv int32) (uint32, error) {
 }
 
 // queryBatch answers pairs into dists through the backend's batch path,
-// reporting a failure when the backend can (LookupBatcher).
+// sharded across the worker pool, reporting a failure when the backend
+// can (LookupBatcher). Batches bypass the distance cache on every
+// backend (see distCache).
 func (s *Server) queryBatch(st *dsState, dists []uint32, pairs []hopdb.QueryPair) error {
 	if st.blookup != nil {
 		_, err := st.blookup.LookupBatchInto(dists, pairs, s.cfg.Workers)
@@ -437,7 +437,7 @@ func (s *Server) queryBatch(st *dsState, dists []uint32, pairs []hopdb.QueryPair
 	return nil
 }
 
-// distance answers one pair through the dataset's cache (when enabled).
+// distance answers one GET pair through the dataset's cache (when enabled).
 // Failed queries are never cached: a transport or I/O error must not be
 // served as a durable "unreachable" after the backend recovers. The
 // cache generation is captured before the backend query so an answer
@@ -459,43 +459,6 @@ func (s *Server) distance(st *dsState, sv, tv int32) (uint32, error) {
 		st.cache.put(sv, tv, d, gen)
 	}
 	return d, nil
-}
-
-// distanceBatch answers pairs into dists (len(dists) == len(pairs)),
-// checking the cache first and sharding the misses across the worker
-// pool via the backend's batch path. On a backend failure nothing is
-// cached and the error is reported.
-func (s *Server) distanceBatch(st *dsState, qc *queryCtx) error {
-	pairs, dists := qc.pairs, qc.dists
-	if st.cache == nil {
-		return s.queryBatch(st, dists, pairs)
-	}
-	qc.missPairs = qc.missPairs[:0]
-	qc.missIdx = qc.missIdx[:0]
-	for i, p := range pairs {
-		if d, ok := st.cache.get(p.S, p.T); ok {
-			dists[i] = d
-		} else {
-			qc.missIdx = append(qc.missIdx, i)
-			qc.missPairs = append(qc.missPairs, p)
-		}
-	}
-	if len(qc.missPairs) == 0 {
-		return nil
-	}
-	if cap(qc.missDists) < len(qc.missPairs) {
-		qc.missDists = make([]uint32, len(qc.missPairs))
-	}
-	qc.missDists = qc.missDists[:len(qc.missPairs)]
-	gen := st.cache.generation() // before the backend query; see distance
-	if err := s.queryBatch(st, qc.missDists, qc.missPairs); err != nil {
-		return err
-	}
-	for j, i := range qc.missIdx {
-		dists[i] = qc.missDists[j]
-		st.cache.put(pairs[i].S, pairs[i].T, qc.missDists[j], gen)
-	}
-	return nil
 }
 
 // replicationGate runs the per-request replication protocol, all against
@@ -658,7 +621,7 @@ func (s *Server) handleBatchBinary(st *dsState, w http.ResponseWriter, r *http.R
 		qc.dists = make([]uint32, n)
 	}
 	qc.dists = qc.dists[:n]
-	if err := s.distanceBatch(st, qc); err != nil {
+	if err := s.queryBatch(st, qc.dists, qc.pairs); err != nil {
 		writeError(w, http.StatusBadGateway, "backend query failed: "+err.Error())
 		return
 	}
@@ -779,7 +742,7 @@ func (s *Server) handleBatchJSON(st *dsState, w http.ResponseWriter, r *http.Req
 	for i, p := range qc.raw {
 		qc.pairs[i] = hopdb.QueryPair{S: p[0], T: p[1]}
 	}
-	if err := s.distanceBatch(st, qc); err != nil {
+	if err := s.queryBatch(st, qc.dists, qc.pairs); err != nil {
 		writeError(w, http.StatusBadGateway, "backend query failed: "+err.Error())
 		return
 	}

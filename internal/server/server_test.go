@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -109,7 +110,9 @@ func TestBatchEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheEntries: 64, Workers: 4})
 	pairs := [][2]int32{{0, 3}, {3, 0}, {2, 2}, {0, 4}, {1, 3}, {0, 999}}
 	body, _ := json.Marshal(pairs)
-	// Run twice so the second pass is served from the cache.
+	// Two rounds: batches bypass the distance cache, so the second round
+	// answers from the backend exactly as the first did.
+	var first []DistanceResult
 	for round := 0; round < 2; round++ {
 		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(string(body)))
 		if err != nil {
@@ -136,10 +139,30 @@ func TestBatchEndpoint(t *testing.T) {
 				t.Fatalf("round %d result %d: unreachable pair carries distance %d", round, i, *r.Distance)
 			}
 		}
+		if round == 0 {
+			first = br.Results
+		} else if !reflect.DeepEqual(br.Results, first) {
+			t.Fatalf("round 1 answered %+v, round 0 %+v", br.Results, first)
+		}
 	}
-	st := s.Stats()
-	if st.Cache == nil || st.Cache.Hits == 0 {
-		t.Fatalf("second batch round did not hit the cache: %+v", st.Cache)
+	assertBatchesSkipCache(t, s, ts)
+}
+
+// assertBatchesSkipCache checks, after two batch rounds, that batches
+// neither read nor filled the distance cache, and that a GET of a pair
+// those batches answered first misses, then hits.
+func assertBatchesSkipCache(t *testing.T, s *Server, ts *httptest.Server) {
+	t.Helper()
+	if c := s.Stats().Cache; c == nil || c.Hits != 0 || c.Misses != 0 || c.Entries != 0 {
+		t.Fatalf("batches touched the cache: %+v", c)
+	}
+	for i, want := range []CacheStats{{Hits: 0, Misses: 1}, {Hits: 1, Misses: 1}} {
+		if status, body := get(t, ts.URL+"/v1/distance?s=0&t=3"); status != 200 || !strings.Contains(body, `"distance":3`) {
+			t.Fatalf("GET %d after the batches = %d %q", i, status, body)
+		}
+		if c := s.Stats().Cache; c.Hits != want.Hits || c.Misses != want.Misses {
+			t.Fatalf("after GET %d: %d hits / %d misses, want %d / %d", i, c.Hits, c.Misses, want.Hits, want.Misses)
+		}
 	}
 }
 
@@ -374,7 +397,9 @@ func TestBinaryBatch(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheEntries: 64})
 	pairs := []hopdb.QueryPair{{S: 0, T: 3}, {S: 3, T: 0}, {S: 2, T: 2}, {S: 0, T: 4}, {S: 0, T: 999}}
 	body := wire.AppendBatchRequest(nil, pairs)
-	// Two rounds: the second is served from the distance cache.
+	// Two rounds: batches bypass the distance cache, so both answer from
+	// the backend, byte for byte alike.
+	var first []byte
 	for round := 0; round < 2; round++ {
 		resp, err := http.Post(ts.URL+"/v1/batch", wire.ContentTypeBinaryBatch, bytes.NewReader(body))
 		if err != nil {
@@ -404,7 +429,13 @@ func TestBinaryBatch(t *testing.T) {
 				t.Errorf("round %d: unreachable pair answered %d, want Infinity", round, dists[i])
 			}
 		}
+		if round == 0 {
+			first = raw
+		} else if !bytes.Equal(raw, first) {
+			t.Fatalf("round 1 answered %x, round 0 %x", raw, first)
+		}
 	}
+	assertBatchesSkipCache(t, s, ts)
 }
 
 func TestBinaryBatchRejections(t *testing.T) {
