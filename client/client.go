@@ -1,9 +1,8 @@
 // Package client is the remote query backend: a hopdb.Querier that
 // forwards distance queries to one or more hopdb-serve (or hopdb-router)
 // instances over the versioned /v1 HTTP API, making a served index a
-// drop-in replacement for a local one. Batches use the compact binary
-// encoding by default (8 bytes per pair, zero reflection on either
-// side); set Options.JSONBatch to force JSON.
+// drop-in replacement for a local one. Batches travel in the compact
+// binary encoding (8 bytes per pair, zero reflection on either side).
 //
 // Resilience: transient failures — connection errors, 502/503/504 —
 // retry with capped exponential backoff and jitter, rotating across the
@@ -68,10 +67,6 @@ type Options struct {
 	// HTTPClient overrides the http.Client used for requests. The
 	// default has a 30 second timeout and pools connections per host.
 	HTTPClient *http.Client
-	// JSONBatch sends /v1/batch requests JSON-encoded instead of using
-	// the compact binary encoding (for debugging, or intermediaries that
-	// only pass JSON through).
-	JSONBatch bool
 	// MaxAttempts bounds how many times one logical request is tried
 	// across transient failures (connection errors, 502/503/504),
 	// rotating endpoints between attempts. 0 selects
@@ -100,7 +95,6 @@ type Client struct {
 	httpc     *http.Client
 	prefix    string // "/v1" or "/v1/{dataset}"
 	token     string
-	json      bool
 	attempts  int
 	retryBase time.Duration
 	retryMax  time.Duration
@@ -176,7 +170,6 @@ func NewMulti(urls []string, opt Options) (*Client, error) {
 		httpc:     httpc,
 		prefix:    prefix,
 		token:     opt.Token,
-		json:      opt.JSONBatch,
 		attempts:  attempts,
 		retryBase: base,
 		retryMax:  max,
@@ -304,13 +297,6 @@ func (c *Client) BatchInto(results []uint32, pairs []QueryPair) ([]uint32, error
 	if len(pairs) == 0 {
 		return results, nil
 	}
-	if c.json {
-		return c.batchJSON(results, pairs)
-	}
-	return c.batchBinary(results, pairs)
-}
-
-func (c *Client) batchBinary(results []uint32, pairs []QueryPair) ([]uint32, error) {
 	bufp := c.bufPool.Get().(*[]byte)
 	defer c.bufPool.Put(bufp)
 	*bufp = wire.AppendBatchRequest((*bufp)[:0], pairs)
@@ -334,40 +320,6 @@ func (c *Client) batchBinary(results []uint32, pairs []QueryPair) ([]uint32, err
 		return nil, fmt.Errorf("client: batch answered %d results for %d pairs", len(out), len(pairs))
 	}
 	return out, nil
-}
-
-func (c *Client) batchJSON(results []uint32, pairs []QueryPair) ([]uint32, error) {
-	arr := make([][2]int32, len(pairs))
-	for i, p := range pairs {
-		arr[i] = [2]int32{p.S, p.T}
-	}
-	body, err := json.Marshal(arr)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(http.MethodPost, c.prefix+"/batch", "application/json", body)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError(resp)
-	}
-	var br wire.BatchResult
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		return nil, err
-	}
-	if len(br.Results) != len(pairs) {
-		return nil, fmt.Errorf("client: batch answered %d results for %d pairs", len(br.Results), len(pairs))
-	}
-	for i, r := range br.Results {
-		if r.Reachable && r.Distance != nil {
-			results[i] = *r.Distance
-		} else {
-			results[i] = Infinity
-		}
-	}
-	return results, nil
 }
 
 // DistanceBatchInto implements hopdb.Querier. The whole batch travels in

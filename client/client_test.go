@@ -65,45 +65,42 @@ func newServerAndClient(t *testing.T, opt client.Options) (*hopdb.Index, *client
 }
 
 func TestClientMatchesLocalIndex(t *testing.T) {
-	for _, jsonBatch := range []bool{false, true} {
-		idx, c := newServerAndClient(t, client.Options{JSONBatch: jsonBatch})
-		if c.N() != idx.N() {
-			t.Fatalf("N = %d, want %d", c.N(), idx.N())
+	idx, c := newServerAndClient(t, client.Options{})
+	if c.N() != idx.N() {
+		t.Fatalf("N = %d, want %d", c.N(), idx.N())
+	}
+	var pairs []hopdb.QueryPair
+	for s := int32(0); s < idx.N(); s++ {
+		for u := int32(0); u < idx.N(); u++ {
+			want, wantOK := idx.Distance(s, u)
+			got, ok, err := c.Lookup(s, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != wantOK || (ok && got != want) {
+				t.Errorf("Lookup(%d,%d) = (%d,%v), want (%d,%v)", s, u, got, ok, want, wantOK)
+			}
+			got2, ok2 := c.Distance(s, u)
+			if got2 != got || ok2 != ok {
+				t.Errorf("Distance(%d,%d) = (%d,%v) disagrees with Lookup", s, u, got2, ok2)
+			}
+			pairs = append(pairs, hopdb.QueryPair{S: s, T: u})
 		}
-		var pairs []hopdb.QueryPair
-		for s := int32(0); s < idx.N(); s++ {
-			for u := int32(0); u < idx.N(); u++ {
-				want, wantOK := idx.Distance(s, u)
-				got, ok, err := c.Lookup(s, u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok != wantOK || (ok && got != want) {
-					t.Errorf("Lookup(%d,%d) = (%d,%v), want (%d,%v)", s, u, got, ok, want, wantOK)
-				}
-				got2, ok2 := c.Distance(s, u)
-				if got2 != got || ok2 != ok {
-					t.Errorf("Distance(%d,%d) = (%d,%v) disagrees with Lookup", s, u, got2, ok2)
-				}
-				pairs = append(pairs, hopdb.QueryPair{S: s, T: u})
+	}
+	// Batch (twice through the same reused buffer) vs the local index.
+	results := make([]uint32, len(pairs))
+	for round := 0; round < 2; round++ {
+		out := c.DistanceBatchInto(results, pairs, 4)
+		for i, p := range pairs {
+			want, _ := idx.Distance(p.S, p.T)
+			if out[i] != want {
+				t.Fatalf("round %d: batch[%d] (%d,%d) = %d, want %d", round, i, p.S, p.T, out[i], want)
 			}
 		}
-		// Batch (twice through the same reused buffer) vs the local index.
-		results := make([]uint32, len(pairs))
-		for round := 0; round < 2; round++ {
-			out := c.DistanceBatchInto(results, pairs, 4)
-			for i, p := range pairs {
-				want, _ := idx.Distance(p.S, p.T)
-				if out[i] != want {
-					t.Fatalf("jsonBatch=%v round %d: batch[%d] (%d,%d) = %d, want %d",
-						jsonBatch, round, i, p.S, p.T, out[i], want)
-				}
-			}
-		}
-		// Out-of-range ids answer Infinity like every other backend.
-		if d, ok := c.Distance(-1, 99); ok || d != hopdb.Infinity {
-			t.Errorf("out-of-range = (%d,%v), want (Infinity,false)", d, ok)
-		}
+	}
+	// Out-of-range ids answer Infinity like every other backend.
+	if d, ok := c.Distance(-1, 99); ok || d != hopdb.Infinity {
+		t.Errorf("out-of-range = (%d,%v), want (Infinity,false)", d, ok)
 	}
 }
 

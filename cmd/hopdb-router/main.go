@@ -64,6 +64,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -73,7 +74,7 @@ func main() {
 		addr      = flag.String("addr", ":8090", "listen address")
 		hedge     = flag.Duration("hedge", 0, "hedge a second replica when the first has not answered within this budget (0 disables)")
 		chunk     = flag.Int("chunk", cluster.DefaultChunkSize, "pairs per replica chunk when splitting batches")
-		maxBatch  = flag.Int("max-batch", cluster.DefaultMaxBatch, "largest accepted batch request, in pairs")
+		maxBatch  = flag.Int("max-batch", wire.DefaultMaxBatch, "largest accepted batch request, in pairs")
 		attempts  = flag.Int("attempts", 0, "max tries per request across replicas (0 = one per replica)")
 		healthInt = flag.Duration("health-interval", cluster.DefaultHealthInterval, "replica health probe cadence")
 		upTimeout = flag.Duration("upstream-timeout", cluster.DefaultUpstreamTimeout, "per-attempt upstream budget")

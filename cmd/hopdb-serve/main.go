@@ -98,7 +98,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		cache      = flag.Int("cache", 0, "GET /v1/distance cache budget in entries, per dataset (0 disables; batches skip it: hot hub pairs merge faster than a probe)")
 		workers    = flag.Int("workers", 0, "batch worker pool size (default GOMAXPROCS)")
-		maxBatch   = flag.Int("max-batch", server.DefaultMaxBatch, "largest accepted batch request, in pairs")
+		maxBatch   = flag.Int("max-batch", wire.DefaultMaxBatch, "largest accepted batch request, in pairs")
 		timeout    = flag.Duration("timeout", 10*time.Second, "per-request timeout on query routes (0 disables)")
 		adminTmo   = flag.Duration("admin-timeout", 0, "per-request timeout on admin routes (0 disables; label rebuilds outlive query budgets)")
 		tokenFile  = flag.String("token-file", "", "JSON file of principals (bearer tokens with scopes and per-dataset grants); enables principal auth")

@@ -3,16 +3,15 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,7 +25,6 @@ import (
 // Router defaults; see RouterConfig.
 const (
 	DefaultChunkSize       = 256
-	DefaultMaxBatch        = 10000
 	DefaultUpstreamTimeout = 10 * time.Second
 )
 
@@ -42,7 +40,7 @@ type RouterConfig struct {
 	// hedging. Requests carrying X-Hopdb-No-Hedge skip it regardless.
 	HedgeDelay time.Duration
 	// MaxBatch is the largest accepted /v1/batch request, in pairs
-	// (default DefaultMaxBatch).
+	// (default wire.DefaultMaxBatch).
 	MaxBatch int
 	// ChunkSize splits a /v1/batch request into per-replica chunks of
 	// this many pairs (default DefaultChunkSize), fanned out
@@ -106,7 +104,7 @@ func (rt *Router) sharded() bool { return rt.cfg.ShardMap != nil }
 // Probed) before traffic arrives.
 func NewRouter(pool *Pool, cfg RouterConfig) (*Router, error) {
 	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
+		cfg.MaxBatch = wire.DefaultMaxBatch
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = DefaultChunkSize
@@ -220,13 +218,14 @@ func forwardHeaders(r *http.Request) http.Header {
 func (rt *Router) Handler() http.Handler { return rt.handler }
 
 // upstream is one attempt's outcome. A transport failure leaves err set;
-// otherwise status/body/seq/epoch mirror the replica's response.
+// otherwise status/body/seq/epoch/retryAfter mirror the replica's
+// response.
 type upstream struct {
-	status     int
-	body       []byte
-	seq, epoch string
-	err        error
-	hedged     bool
+	status                 int
+	body                   []byte
+	seq, epoch, retryAfter string
+	err                    error
+	hedged                 bool
 }
 
 // transient reports whether the outcome is worth another replica:
@@ -284,11 +283,12 @@ func (rt *Router) fetchOnce(ctx context.Context, ep *endpoint, method, path, con
 		return upstream{err: err, hedged: hedged}
 	}
 	return upstream{
-		status: resp.StatusCode,
-		body:   b,
-		seq:    resp.Header.Get(wire.HeaderSeq),
-		epoch:  resp.Header.Get(wire.HeaderEpoch),
-		hedged: hedged,
+		status:     resp.StatusCode,
+		body:       b,
+		seq:        resp.Header.Get(wire.HeaderSeq),
+		epoch:      resp.Header.Get(wire.HeaderEpoch),
+		hedged:     hedged,
+		retryAfter: resp.Header.Get("Retry-After"),
 	}
 }
 
@@ -393,7 +393,7 @@ func (rt *Router) writeUpstream(w http.ResponseWriter, res upstream) {
 			status = http.StatusServiceUnavailable
 			msg = res.err.Error()
 		}
-		writeError(w, status, msg)
+		wire.WriteError(w, status, msg)
 		return
 	}
 	if res.seq != "" {
@@ -402,17 +402,44 @@ func (rt *Router) writeUpstream(w http.ResponseWriter, res upstream) {
 	if res.epoch != "" {
 		w.Header().Set(wire.HeaderEpoch, res.epoch)
 	}
+	if res.retryAfter != "" {
+		w.Header().Set("Retry-After", res.retryAfter)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(res.status)
 	w.Write(res.body)
 }
 
+// handleDistance relays /v1/{ds}/distance to a replica, or answers the
+// sharded default dataset from the shard fleet with the bytes a replica
+// would give.
 func (rt *Router) handleDistance(w http.ResponseWriter, r *http.Request) {
-	if rt.sharded() && dsName(r) == wire.DefaultDataset {
-		rt.handleShardedDistance(w, r)
+	if !rt.sharded() || dsName(r) != wire.DefaultDataset {
+		rt.forwardSingle(w, r, "/distance")
 		return
 	}
-	rt.forwardSingle(w, r, "/distance")
+	t0 := rt.now()
+	defer func() { rt.lat.Observe(rt.now().Sub(t0)) }()
+	if !wire.AllowMethod(w, r, http.MethodGet) {
+		return
+	}
+	rt.requests.Add(1)
+	// The leaves keep no journal, so any positive min-seq is unmet.
+	if !wire.CheckMinSeq(w, r, -1) {
+		return
+	}
+	sv, tv, ok := wire.ParsePair(w, r)
+	if !ok {
+		return
+	}
+	var d [1]uint32
+	if fail := rt.shardedAnswer(r.Context(), d[:], []wire.QueryPair{{S: sv, T: tv}},
+		forwardHeaders(r), r.Header.Get(wire.HeaderNoHedge) != ""); fail != nil {
+		rt.writeUpstream(w, *fail)
+		return
+	}
+	rt.queries.Add(1)
+	wire.WriteDistance(w, sv, tv, d[0])
 }
 
 // handlePath relays /v1/{ds}/path like a distance query: one replica
@@ -426,7 +453,7 @@ func (rt *Router) handlePath(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) forwardSingle(w http.ResponseWriter, r *http.Request, suffix string) {
 	t0 := rt.now()
 	defer func() { rt.lat.Observe(rt.now().Sub(t0)) }()
-	if !allowMethod(w, r, http.MethodGet) {
+	if !wire.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	rt.requests.Add(1)
@@ -446,7 +473,7 @@ func (rt *Router) forwardSingle(w http.ResponseWriter, r *http.Request, suffix s
 // handleDatasetStats relays /v1/{ds}/stats to a replica serving the
 // dataset (the router's own aggregate stats stay at /v1/stats).
 func (rt *Router) handleDatasetStats(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !wire.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	ds := dsName(r)
@@ -458,164 +485,116 @@ func (rt *Router) handleDatasetStats(w http.ResponseWriter, r *http.Request) {
 // handleAccessLog serves GET /v1/admin/accesslog: the router's own ring
 // of recent requests, oldest first.
 func (rt *Router) handleAccessLog(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !wire.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	rt.accessLog.ServeDump(w)
 }
 
-// handleBatch decodes the client's batch (JSON or binary), splits it
-// into chunks, fans the chunks out concurrently over the binary codec —
-// each chunk independently balanced, retried, and hedged — and
-// reassembles the answers in request order, responding in the encoding
-// the client used. The response's replication headers carry the minimum
-// seq/epoch across the answering replicas: the weakest freshness any
-// part of the batch was served at.
+// batchScratch recycles the router's per-request batch buffers.
+var batchScratch = sync.Pool{New: func() any { return new(wire.Batch) }}
+
+// handleBatch reads the client's batch (JSON or binary) through the
+// shared codec, answers it from the shard fleet (sharded default
+// dataset) or the replica pool, and responds in the encoding the client
+// used.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	t0 := rt.now()
 	defer func() { rt.lat.Observe(rt.now().Sub(t0)) }()
-	if !allowMethod(w, r, http.MethodPost) {
+	if !wire.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	rt.requests.Add(1)
 	ds := dsName(r)
-
-	ct := r.Header.Get("Content-Type")
-	if mt, _, found := strings.Cut(ct, ";"); found {
-		ct = mt
+	sharded := rt.sharded() && ds == wire.DefaultDataset
+	// Shard leaves keep no journal, so a positive min-seq is unmet. The
+	// replicas judge it themselves; the router only refuses a malformed
+	// one, before the body, as they would.
+	seq := int64(math.MaxInt64)
+	if sharded {
+		seq = -1
 	}
-	binaryIn := strings.TrimSpace(ct) == wire.ContentTypeBinaryBatch
-
-	maxBody := int64(rt.cfg.MaxBatch)*64 + 64
-	if binaryIn {
-		maxBody = int64(rt.cfg.MaxBatch)*8 + 8
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes (max-batch is %d pairs)", maxBody, rt.cfg.MaxBatch))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	if !wire.CheckMinSeq(w, r, seq) {
 		return
 	}
-
-	var pairs []wire.QueryPair
-	if binaryIn {
-		pairs, err = wire.DecodeBatchRequest(nil, body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	} else {
-		var raw []jsonPair
-		if err := json.Unmarshal(body, &raw); err != nil {
-			writeError(w, http.StatusBadRequest, "body must be a JSON array of [s,t] pairs: "+err.Error())
-			return
-		}
-		pairs = make([]wire.QueryPair, len(raw))
-		for i, p := range raw {
-			pairs[i] = wire.QueryPair{S: p[0], T: p[1]}
-		}
-	}
-	if len(pairs) > rt.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d pairs exceeds the limit of %d", len(pairs), rt.cfg.MaxBatch))
+	b := batchScratch.Get().(*wire.Batch)
+	defer batchScratch.Put(b)
+	if !b.Read(w, r, rt.cfg.MaxBatch) {
 		return
 	}
-
-	if rt.sharded() && ds == wire.DefaultDataset {
-		rt.shardedBatch(w, r, pairs, binaryIn)
-		return
-	}
-
-	fwd := forwardHeaders(r)
-	noHedge := r.Header.Get(wire.HeaderNoHedge) != ""
-	results := make([]uint32, len(pairs))
+	fwd, noHedge := forwardHeaders(r), r.Header.Get(wire.HeaderNoHedge) != ""
 	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		fail   *upstream
-		minPos replicaPos
+		pos  replicaPos
+		fail *upstream
 	)
-	for lo := 0; lo < len(pairs); lo += rt.cfg.ChunkSize {
-		hi := lo + rt.cfg.ChunkSize
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			req := wire.AppendBatchRequest(nil, pairs[lo:hi])
-			res := rt.forward(r.Context(), ds, http.MethodPost, upstreamPath(ds, "/batch"), wire.ContentTypeBinaryBatch, req, fwd, noHedge)
-			if res.err != nil || res.status != http.StatusOK {
-				mu.Lock()
-				if fail == nil {
-					fail = &res
-				}
-				mu.Unlock()
-				return
-			}
-			dists, derr := wire.DecodeBatchResponse(nil, res.body)
-			if derr != nil || len(dists) != hi-lo {
-				mu.Lock()
-				if fail == nil {
-					fail = &upstream{err: fmt.Errorf("replica answered a malformed batch: %v", derr)}
-				}
-				mu.Unlock()
-				return
-			}
-			copy(results[lo:hi], dists)
-			mu.Lock()
-			minPos.fold(res.seq, res.epoch)
-			mu.Unlock()
-		}(lo, hi)
+	if sharded {
+		fail = rt.shardedAnswer(r.Context(), b.Dists, b.Pairs, fwd, noHedge)
+	} else {
+		pos, fail = rt.replicatedAnswer(r.Context(), ds, b.Dists, b.Pairs, fwd, noHedge)
 	}
-	wg.Wait()
 	if fail != nil {
 		rt.writeUpstream(w, *fail)
 		return
 	}
-	rt.queries.Add(int64(len(pairs)))
-	if seq, epoch, ok := minPos.position(); ok {
+	rt.queries.Add(int64(len(b.Pairs)))
+	if seq, epoch, ok := pos.position(); ok {
 		w.Header().Set(wire.HeaderSeq, strconv.FormatInt(seq, 10))
 		w.Header().Set(wire.HeaderEpoch, strconv.FormatInt(epoch, 10))
 	}
-	if binaryIn {
-		w.Header().Set("Content-Type", wire.ContentTypeBinaryBatch)
-		w.WriteHeader(http.StatusOK)
-		w.Write(wire.AppendBatchResponse(nil, results))
-		return
-	}
-	out := wire.BatchResult{Results: make([]wire.DistanceResult, len(pairs))}
-	for i := range pairs {
-		dr := wire.DistanceResult{S: pairs[i].S, T: pairs[i].T, Reachable: results[i] != wire.Infinity}
-		if dr.Reachable {
-			dr.Distance = &results[i]
-		}
-		out.Results[i] = dr
-	}
-	writeJSON(w, http.StatusOK, out)
+	b.Write(w)
 }
 
-// jsonPair decodes one [s,t] element of a JSON batch, rejecting anything
-// but exactly two numbers — the same strictness the replica server
-// applies, so the router does not silently truncate [[1,2,9]] on the way
-// through.
-type jsonPair [2]int32
+// replicatedAnswer answers pairs into dists from the replica pool: it
+// splits them into ChunkSize chunks and fans those out concurrently over
+// the binary codec, each independently balanced, retried, and hedged.
+// The returned position is the minimum seq/epoch across the answering
+// replicas: the weakest freshness any part of the batch was served at.
+func (rt *Router) replicatedAnswer(ctx context.Context, ds string, dists []uint32, pairs []wire.QueryPair, fwd http.Header, noHedge bool) (replicaPos, *upstream) {
+	var (
+		mu  sync.Mutex
+		pos replicaPos
+	)
+	size := rt.cfg.ChunkSize
+	fail := scatter((len(pairs)+size-1)/size, func(i int) *upstream {
+		lo := i * size
+		hi := min(lo+size, len(pairs))
+		req := wire.AppendBatchRequest(nil, pairs[lo:hi])
+		res := rt.forward(ctx, ds, http.MethodPost, upstreamPath(ds, "/batch"), wire.ContentTypeBinaryBatch, req, fwd, noHedge)
+		if res.err != nil || res.status != http.StatusOK {
+			return &res
+		}
+		got, err := wire.DecodeBatchResponse(dists[lo:hi:hi], res.body)
+		if err != nil || len(got) != hi-lo {
+			return &upstream{err: fmt.Errorf("replica answered a malformed batch: %v", err)}
+		}
+		mu.Lock()
+		pos.fold(res.seq, res.epoch)
+		mu.Unlock()
+		return nil
+	})
+	return pos, fail
+}
 
-func (p *jsonPair) UnmarshalJSON(b []byte) error {
-	elems := make([]int32, 0, 2)
-	if err := json.Unmarshal(b, &elems); err != nil {
-		return err
+// scatter runs job(0) .. job(n-1) concurrently and returns the first
+// failure any of them reported, nil when all succeeded: the fan-out of
+// both the replicated chunks and the sharded per-leaf row fetches.
+func scatter(n int, job func(i int) *upstream) *upstream {
+	var (
+		wg   sync.WaitGroup
+		once sync.Once
+		fail *upstream
+	)
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			if res := job(i); res != nil {
+				once.Do(func() { fail = res })
+			}
+		}()
 	}
-	if len(elems) != 2 {
-		return fmt.Errorf("pair must be [s,t], got %d elements", len(elems))
-	}
-	p[0], p[1] = elems[0], elems[1]
-	return nil
+	wg.Wait()
+	return fail
 }
 
 // replicaPos folds per-chunk replication headers into the minimum
@@ -649,16 +628,16 @@ func (p *replicaPos) position() (seq, epoch int64, ok bool) {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !wire.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	healthy := rt.pool.Healthy()
 	if healthy == 0 {
-		writeJSON(w, http.StatusServiceUnavailable,
+		wire.WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"status": "no healthy replicas", "healthy": 0, "replicas": rt.pool.Size()})
 		return
 	}
-	writeJSON(w, http.StatusOK,
+	wire.WriteJSON(w, http.StatusOK,
 		map[string]any{"status": "ok", "healthy": healthy, "replicas": rt.pool.Size()})
 }
 
@@ -753,14 +732,14 @@ func (rt *Router) Stats() RouterStats {
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !wire.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, rt.Stats())
+	wire.WriteJSON(w, http.StatusOK, rt.Stats())
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !wire.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	st := rt.Stats()
@@ -818,20 +797,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // address. Without a configured primary the router cannot route writes.
 func (rt *Router) handleAdmin(w http.ResponseWriter, r *http.Request) {
 	if rt.proxy == nil {
-		writeError(w, http.StatusNotImplemented,
+		wire.WriteError(w, http.StatusNotImplemented,
 			"no primary configured; start hopdb-router with -primary to route admin requests")
 		return
 	}
 	rt.proxy.ServeHTTP(w, r)
 }
-
-// Thin aliases over the shared HTTP plumbing (internal/wire), so the
-// router and the replica server cannot drift on error shape or method
-// handling.
-func allowMethod(w http.ResponseWriter, r *http.Request, methods ...string) bool {
-	return wire.AllowMethod(w, r, methods...)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) { wire.WriteJSON(w, status, v) }
-
-func writeError(w http.ResponseWriter, status int, msg string) { wire.WriteError(w, status, msg) }

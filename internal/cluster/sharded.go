@@ -20,80 +20,20 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"strconv"
-	"sync"
 
 	"repro/internal/label"
 	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
-// handleShardedDistance answers GET /v1/distance from the shard fleet,
-// mirroring a replica's response shape byte for byte.
-func (rt *Router) handleShardedDistance(w http.ResponseWriter, r *http.Request) {
-	t0 := rt.now()
-	defer func() { rt.lat.Observe(rt.now().Sub(t0)) }()
-	if !allowMethod(w, r, http.MethodGet) {
-		return
-	}
-	rt.requests.Add(1)
-	sv, tv, ok := parsePair(w, r)
-	if !ok {
-		return
-	}
-	dists, fail := rt.shardedAnswer(r.Context(), []wire.QueryPair{{S: sv, T: tv}},
-		forwardHeaders(r), r.Header.Get(wire.HeaderNoHedge) != "")
-	if fail != nil {
-		rt.writeUpstream(w, *fail)
-		return
-	}
-	rt.queries.Add(1)
-	d := dists[0]
-	res := wire.DistanceResult{S: sv, T: tv, Reachable: d != wire.Infinity}
-	if res.Reachable {
-		res.Distance = &d
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// shardedBatch finishes a /v1/batch request (already decoded and
-// size-checked by handleBatch) through the scatter-gather path,
-// responding in the encoding the client used.
-func (rt *Router) shardedBatch(w http.ResponseWriter, r *http.Request, pairs []wire.QueryPair, binaryIn bool) {
-	results, fail := rt.shardedAnswer(r.Context(), pairs,
-		forwardHeaders(r), r.Header.Get(wire.HeaderNoHedge) != "")
-	if fail != nil {
-		rt.writeUpstream(w, *fail)
-		return
-	}
-	rt.queries.Add(int64(len(pairs)))
-	if binaryIn {
-		w.Header().Set("Content-Type", wire.ContentTypeBinaryBatch)
-		w.WriteHeader(http.StatusOK)
-		w.Write(wire.AppendBatchResponse(nil, results))
-		return
-	}
-	out := wire.BatchResult{Results: make([]wire.DistanceResult, len(pairs))}
-	for i := range pairs {
-		dr := wire.DistanceResult{S: pairs[i].S, T: pairs[i].T, Reachable: results[i] != wire.Infinity}
-		if dr.Reachable {
-			dr.Distance = &results[i]
-		}
-		out.Results[i] = dr
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// shardedAnswer computes the distances for pairs against the shard
-// fleet: pairs inside the hub tier are answered from the hub, every
-// other pair is merged here from its two rows, and the leaf-owned rows
-// are fetched concurrently, one request per leaf (per ChunkSize rows).
-// On failure the first upstream outcome is returned for relaying (nil
-// results).
-func (rt *Router) shardedAnswer(ctx context.Context, pairs []wire.QueryPair, fwd http.Header, noHedge bool) ([]uint32, *upstream) {
+// shardedAnswer answers pairs into results against the shard fleet:
+// pairs inside the hub tier are answered from the hub, every other pair
+// is merged here from its two rows, and the leaf-owned rows are fetched
+// concurrently, one request per leaf (per ChunkSize rows). On failure
+// the first upstream outcome is returned for relaying.
+func (rt *Router) shardedAnswer(ctx context.Context, results []uint32, pairs []wire.QueryPair, fwd http.Header, noHedge bool) *upstream {
 	m, hub := rt.cfg.ShardMap, rt.cfg.Hub
 	h := m.HubRanks
-	results := make([]uint32, len(pairs))
 
 	// Plan: one key rank<<33 | in<<32 | slot per leaf-ranked side of a
 	// merged pair, slot = 2*pair + side. Sorted, equal rows sit next to
@@ -116,7 +56,7 @@ func (rt *Router) shardedAnswer(ctx context.Context, pairs []wire.QueryPair, fwd
 		if rs < h && rtk < h {
 			d, err := hub.DistanceRanked(rs, rtk)
 			if err != nil {
-				return nil, &upstream{err: err}
+				return &upstream{err: err}
 			}
 			results[i] = d
 			hubHits++
@@ -146,11 +86,12 @@ func (rt *Router) shardedAnswer(ctx context.Context, pairs []wire.QueryPair, fwd
 	rt.rowFetches.Add(int64(len(want)))
 	rows := make([][]label.Entry, len(want))
 
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		fail *upstream
-	)
+	// One job per leaf run of want, split at ChunkSize rows.
+	type rowsJob struct {
+		si     wire.ShardInfo
+		lo, hi int
+	}
+	var jobs []rowsJob
 	for start, end := 0, 0; start < len(want); start = end {
 		leaf := m.Shards[m.Owner(want[start].Rank)]
 		si := wire.ShardInfo{Lo: leaf.Lo, Hi: leaf.Hi}
@@ -158,31 +99,24 @@ func (rt *Router) shardedAnswer(ctx context.Context, pairs []wire.QueryPair, fwd
 			end++
 		}
 		for lo := start; lo < end; lo += rt.cfg.ChunkSize {
-			hi := min(lo+rt.cfg.ChunkSize, end)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				req := shard.AppendRowsRequest(nil, want[lo:hi])
-				res := rt.forwardShard(ctx, si, http.MethodPost, "/v1/rows", shard.ContentTypeRows, req, fwd, noHedge)
-				if res.err == nil && res.status == http.StatusOK {
-					got, derr := shard.DecodeRowsResponse(res.body)
-					if derr == nil && len(got) == hi-lo {
-						copy(rows[lo:hi], got)
-						return
-					}
-					res = upstream{err: fmt.Errorf("shard [%d,%d) answered malformed rows: %v", si.Lo, si.Hi, derr)}
-				}
-				mu.Lock()
-				if fail == nil {
-					fail = &res
-				}
-				mu.Unlock()
-			}()
+			jobs = append(jobs, rowsJob{si, lo, min(lo+rt.cfg.ChunkSize, end)})
 		}
 	}
-	wg.Wait()
-	if fail != nil {
-		return nil, fail
+	if fail := scatter(len(jobs), func(i int) *upstream {
+		j := jobs[i]
+		req := shard.AppendRowsRequest(nil, want[j.lo:j.hi])
+		res := rt.forwardShard(ctx, j.si, http.MethodPost, "/v1/rows", shard.ContentTypeRows, req, fwd, noHedge)
+		if res.err == nil && res.status == http.StatusOK {
+			got, derr := shard.DecodeRowsResponse(res.body)
+			if derr == nil && len(got) == j.hi-j.lo {
+				copy(rows[j.lo:j.hi], got)
+				return nil
+			}
+			res = upstream{err: fmt.Errorf("shard [%d,%d) answered malformed rows: %v", j.si.Lo, j.si.Hi, derr)}
+		}
+		return &res
+	}); fail != nil {
+		return fail
 	}
 
 	row := func(rank int32, in bool, w int32) []label.Entry {
@@ -205,32 +139,5 @@ func (rt *Router) shardedAnswer(ctx context.Context, pairs []wire.QueryPair, fwd
 		rs, rtk := hub.Perm[p.S], hub.Perm[p.T]
 		results[i] = label.MergeDistance(row(rs, false, ws), row(rtk, true, wt), rs, rtk)
 	}
-	return results, nil
-}
-
-// parsePair mirrors the replica server's query-parameter parsing (and
-// its exact error messages) so the sharded distance path is
-// indistinguishable from a replica to clients.
-func parsePair(w http.ResponseWriter, r *http.Request) (sv, tv int32, ok bool) {
-	q := r.URL.Query()
-	parse := func(name string) (int32, bool) {
-		raw := q.Get(name)
-		if raw == "" {
-			writeError(w, http.StatusBadRequest, "missing required parameter "+name)
-			return 0, false
-		}
-		v, err := strconv.ParseInt(raw, 10, 32)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("parameter %s=%q is not a vertex id", name, raw))
-			return 0, false
-		}
-		return int32(v), true
-	}
-	if sv, ok = parse("s"); !ok {
-		return 0, 0, false
-	}
-	if tv, ok = parse("t"); !ok {
-		return 0, 0, false
-	}
-	return sv, tv, true
+	return nil
 }

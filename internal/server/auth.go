@@ -290,7 +290,7 @@ func (s *Server) authorize(w http.ResponseWriter, r *http.Request, scope, datase
 		if scope == ScopeRead {
 			return r, true
 		}
-		writeError(w, http.StatusForbidden, "admin API disabled; start the server with an admin token or a token file")
+		wire.WriteError(w, http.StatusForbidden, "admin API disabled; start the server with an admin token or a token file")
 		return nil, false
 	}
 	tok := bearerToken(r)
@@ -301,11 +301,11 @@ func (s *Server) authorize(w http.ResponseWriter, r *http.Request, scope, datase
 			// surface stays open, as it always was.
 			return r, true
 		}
-		writeError(w, http.StatusUnauthorized, "missing or invalid admin bearer token")
+		wire.WriteError(w, http.StatusUnauthorized, "missing or invalid admin bearer token")
 		return nil, false
 	}
 	if allowed, reason := pr.allows(scope, dataset); !allowed {
-		writeError(w, http.StatusForbidden, reason)
+		wire.WriteError(w, http.StatusForbidden, reason)
 		return nil, false
 	}
 	httpmw.SetPrincipal(r, pr.name)
@@ -331,7 +331,7 @@ func (s *Server) charge(w http.ResponseWriter, r *http.Request, n int) bool {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests,
+		wire.WriteError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("rate limit exceeded; retry in %ds", secs))
 	}
 	return ok
@@ -349,7 +349,7 @@ func (s *Server) admit(w http.ResponseWriter, n int) (release func(), ok bool) {
 	if cur := s.inflight.Add(int64(n)); cur > limit {
 		s.inflight.Add(-int64(n))
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
+		wire.WriteError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("server at capacity (%d pairs in flight, limit %d)", cur-int64(n), limit))
 		return nil, false
 	}

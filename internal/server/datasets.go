@@ -216,7 +216,7 @@ func ParseDatasetFlag(v string) (name string, spec wire.DatasetSpec, err error) 
 // handleDatasets serves GET /v1/admin/datasets: the stats of every
 // attached dataset, sorted by name.
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !wire.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	if _, ok := s.authorize(w, r, ScopeAdmin, ""); !ok {
@@ -230,7 +230,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		out.Datasets = append(out.Datasets, s.statsFor(s.stateFor(d)))
 		d.Release()
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleDatasetByName serves the dataset lifecycle:
@@ -241,7 +241,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 //	DELETE /v1/admin/datasets/{name}  detach; in-flight requests drain,
 //	                                  then the backend is closed
 func (s *Server) handleDatasetByName(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost, http.MethodDelete) {
+	if !wire.AllowMethod(w, r, http.MethodPost, http.MethodDelete) {
 		return
 	}
 	name := r.PathValue("name")
@@ -250,7 +250,7 @@ func (s *Server) handleDatasetByName(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := wire.ValidateDatasetName(name); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	switch r.Method {
@@ -258,28 +258,28 @@ func (s *Server) handleDatasetByName(w http.ResponseWriter, r *http.Request) {
 		s.attachDataset(w, r, name)
 	case http.MethodDelete:
 		if err := s.Detach(name); err != nil {
-			writeError(w, http.StatusNotFound, err.Error())
+			wire.WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
 		s.logf("dataset %q detached", name)
-		writeJSON(w, http.StatusOK, map[string]any{"dataset": name, "detached": true})
+		wire.WriteJSON(w, http.StatusOK, map[string]any{"dataset": name, "detached": true})
 	}
 }
 
 func (s *Server) attachDataset(w http.ResponseWriter, r *http.Request, name string) {
 	if s.reg.Has(name) {
-		writeError(w, http.StatusConflict, fmt.Sprintf("dataset %q is already attached (detach it first)", name))
+		wire.WriteError(w, http.StatusConflict, fmt.Sprintf("dataset %q is already attached (detach it first)", name))
 		return
 	}
 	var spec wire.DatasetSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "body must be a dataset spec object: "+err.Error())
+		wire.WriteError(w, http.StatusBadRequest, "body must be a dataset spec object: "+err.Error())
 		return
 	}
 	if tok, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("trailing data after the spec object (%v)", tok))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("trailing data after the spec object (%v)", tok))
 		return
 	}
 	opener := s.cfg.Opener
@@ -288,25 +288,25 @@ func (s *Server) attachDataset(w http.ResponseWriter, r *http.Request, name stri
 	}
 	q, err := opener(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("opening dataset %q: %v", name, err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("opening dataset %q: %v", name, err))
 		return
 	}
 	if err := s.Attach(name, q, true); err != nil {
 		q.Close()
 		// Has() raced with a concurrent attach of the same name.
-		writeError(w, http.StatusConflict, err.Error())
+		wire.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
 	st, release, _ := s.resolve(name)
 	defer release()
 	s.logf("dataset %q attached: %s backend, %d vertices", name, st.backend.Backend, st.backend.Vertices)
-	writeJSON(w, http.StatusOK, map[string]any{"dataset": name, "stats": s.statsFor(st)})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"dataset": name, "stats": s.statsFor(st)})
 }
 
 // handleAccessLog serves GET /v1/admin/accesslog: the ring of recent
 // requests, oldest first.
 func (s *Server) handleAccessLog(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !wire.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	if _, ok := s.authorize(w, r, ScopeAdmin, ""); !ok {

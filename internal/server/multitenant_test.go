@@ -80,7 +80,7 @@ func TestMultiDatasetRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var br BatchResult
+	var br wire.BatchResult
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
 	}

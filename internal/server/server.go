@@ -80,7 +80,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,9 +93,6 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultMaxBatch caps /v1/batch requests when Config.MaxBatch is zero.
-const DefaultMaxBatch = 10000
-
 // Config tunes a Server.
 type Config struct {
 	// CacheEntries is the distance cache budget in entries (pairs), per
@@ -104,7 +100,7 @@ type Config struct {
 	// only: a batch's hot hub pairs merge in less time than a probe.
 	CacheEntries int
 	// MaxBatch is the largest accepted /v1/batch request, in pairs
-	// (default DefaultMaxBatch). Larger batches get HTTP 413.
+	// (default wire.DefaultMaxBatch). Larger batches get HTTP 413.
 	MaxBatch int
 	// Workers is the fan-out of a /v1/batch request across goroutines
 	// (default GOMAXPROCS).
@@ -179,35 +175,12 @@ type Server struct {
 	handler   http.Handler
 }
 
-// jsonPair decodes one [s,t] element of a /v1/batch request, rejecting
-// anything but exactly two numbers — the stock [2]int32 decoding would
-// silently zero-pad [[5]] and drop the tail of [[1,2,9]], turning client
-// typos into confidently wrong answers.
-type jsonPair [2]int32
-
-func (p *jsonPair) UnmarshalJSON(b []byte) error {
-	elems := make([]int32, 0, 2)
-	if err := json.Unmarshal(b, &elems); err != nil {
-		return err
-	}
-	if len(elems) != 2 {
-		return fmt.Errorf("pair must be [s,t], got %d elements", len(elems))
-	}
-	p[0], p[1] = elems[0], elems[1]
-	return nil
-}
-
-// queryCtx is the pooled per-request scratch: decode buffers, converted
-// pairs and result distances. Pooling it keeps steady-state /v1/batch
-// handling at O(1) allocations regardless of batch size. A batch goes
-// straight to the backend, never through the distance cache.
-type queryCtx struct {
-	raw     []jsonPair
-	bin     []byte // binary request/response scratch
-	pairs   []hopdb.QueryPair
-	dists   []uint32
-	results []DistanceResult
-}
+// queryCtx is the pooled per-request scratch of /v1/batch and /v1/rows:
+// the body, the decoded pairs and their distances. Pooling it keeps
+// steady-state batch handling at O(1) allocations regardless of batch
+// size. A batch goes straight to the backend, never through the
+// distance cache.
+type queryCtx = wire.Batch
 
 // New wraps q in a Server as its sole (initial) dataset, named
 // "default". The backend must already be fully initialized (graph
@@ -230,7 +203,7 @@ func New(q hopdb.Querier, cfg Config) *Server {
 // this).
 func NewRegistry(reg *registry.Registry, cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
+		cfg.MaxBatch = wire.DefaultMaxBatch
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -289,7 +262,7 @@ func (s *Server) buildHandler() http.Handler {
 	// dataset is attached: they fall back to the global snapshot. An
 	// explicit /v1/{dataset}/stats naming a missing dataset still 404s.
 	stats := qt(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !allowMethod(w, r, http.MethodGet) {
+		if !wire.AllowMethod(w, r, http.MethodGet) {
 			return
 		}
 		name := r.PathValue("dataset")
@@ -301,10 +274,10 @@ func (s *Server) buildHandler() http.Handler {
 		st, release, ok := s.resolve(name)
 		if !ok {
 			if explicit {
-				writeError(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", name))
+				wire.WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", name))
 				return
 			}
-			writeJSON(w, http.StatusOK, s.Stats())
+			wire.WriteJSON(w, http.StatusOK, s.Stats())
 			return
 		}
 		defer release()
@@ -363,7 +336,7 @@ func (s *Server) buildHandler() http.Handler {
 // annotation, and — when scope is non-empty — authorization.
 func (s *Server) dsRoute(scope string, h func(*dsState, http.ResponseWriter, *http.Request), methods ...string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if !allowMethod(w, r, methods...) {
+		if !wire.AllowMethod(w, r, methods...) {
 			return
 		}
 		name := r.PathValue("dataset")
@@ -373,7 +346,7 @@ func (s *Server) dsRoute(scope string, h func(*dsState, http.ResponseWriter, *ht
 		httpmw.SetDataset(r, name)
 		st, release, ok := s.resolve(name)
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", name))
+			wire.WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", name))
 			return
 		}
 		defer release()
@@ -394,15 +367,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // AccessLog returns the server's access-log ring (also served at
 // GET /v1/admin/accesslog).
 func (s *Server) AccessLog() *httpmw.RingLog { return s.accessLog }
-
-// DistanceResult is the JSON answer for one query pair. Distance is a
-// pointer so unreachable pairs omit the field instead of reporting a
-// bogus zero (and s==t still reports an explicit 0).
-type DistanceResult = wire.DistanceResult
-
-// BatchResult is the JSON answer for a /v1/batch request; results[i]
-// answers pairs[i].
-type BatchResult = wire.BatchResult
 
 // PathResult is the JSON answer for a /v1/path request.
 type PathResult = wire.PathResult
@@ -483,25 +447,7 @@ func (s *Server) replicationGate(st *dsState, w http.ResponseWriter, r *http.Req
 		w.Header().Set(wire.HeaderSeq, strconv.FormatInt(seq, 10))
 		w.Header().Set(wire.HeaderEpoch, strconv.FormatInt(st.rep.Epoch(), 10))
 	}
-	raw := r.Header.Get(wire.HeaderMinSeq)
-	if raw == "" {
-		return true
-	}
-	min, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("%s %q is not a sequence number", wire.HeaderMinSeq, raw))
-		return false
-	}
-	if min <= 0 {
-		return true
-	}
-	if seq < min {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("serving at seq %d, behind required min-seq %d", max(seq, 0), min))
-		return false
-	}
-	return true
+	return wire.CheckMinSeq(w, r, seq)
 }
 
 // observe records one query request's latency in the global and
@@ -524,7 +470,7 @@ func (s *Server) handleDistance(st *dsState, w http.ResponseWriter, r *http.Requ
 	if !s.replicationGate(st, w, r) {
 		return
 	}
-	sv, tv, ok := parsePair(w, r)
+	sv, tv, ok := wire.ParsePair(w, r)
 	if !ok {
 		return
 	}
@@ -533,82 +479,27 @@ func (s *Server) handleDistance(st *dsState, w http.ResponseWriter, r *http.Requ
 	}
 	d, err := s.distance(st, sv, tv)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "backend query failed: "+err.Error())
+		wire.WriteError(w, http.StatusBadGateway, "backend query failed: "+err.Error())
 		return
 	}
 	s.count(st, 1)
-	res := DistanceResult{S: sv, T: tv, Reachable: d != hopdb.Infinity}
-	if res.Reachable {
-		res.Distance = &d
-	}
-	writeJSON(w, http.StatusOK, res)
+	wire.WriteDistance(w, sv, tv, d)
 }
 
+// handleBatch answers POST /v1/{ds}/batch, JSON or compact binary (see
+// internal/wire), in the encoding the request used.
 func (s *Server) handleBatch(st *dsState, w http.ResponseWriter, r *http.Request) {
 	t0 := s.now()
 	defer func() { s.observe(st, t0) }()
 	if !s.replicationGate(st, w, r) {
 		return
 	}
-	ct := r.Header.Get("Content-Type")
-	if mt, _, found := strings.Cut(ct, ";"); found {
-		ct = mt
-	}
-	if strings.TrimSpace(ct) == wire.ContentTypeBinaryBatch {
-		s.handleBatchBinary(st, w, r)
-		return
-	}
-	s.handleBatchJSON(st, w, r)
-}
-
-// readBinary reads a fixed-width binary request body into qc.bin,
-// answering 413 or 400 itself when it cannot. The bound is exact: a
-// header plus MaxBatch 8-byte pairs, or the 2*MaxBatch 4-byte row keys
-// those pairs need.
-func (s *Server) readBinary(w http.ResponseWriter, r *http.Request, qc *queryCtx) bool {
-	maxBody := int64(s.cfg.MaxBatch)*8 + 8
-	if cap(qc.bin) < int(maxBody) {
-		qc.bin = make([]byte, 0, maxBody)
-	}
-	var err error
-	qc.bin, err = readAllInto(qc.bin[:0], http.MaxBytesReader(w, r.Body, maxBody))
-	if err == nil {
-		return true
-	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes (max-batch is %d pairs)", maxBody, s.cfg.MaxBatch))
-	} else {
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
-	}
-	return false
-}
-
-// handleBatchBinary answers a compact-binary batch (see internal/wire)
-// in kind: fixed 8 bytes per pair in, 4 bytes per result out.
-func (s *Server) handleBatchBinary(st *dsState, w http.ResponseWriter, r *http.Request) {
 	qc := s.ctxPool.Get().(*queryCtx)
 	defer s.ctxPool.Put(qc)
-	if !s.readBinary(w, r, qc) {
+	if !qc.Read(w, r, s.cfg.MaxBatch) {
 		return
 	}
-	count, err := wire.BatchRequestCount(qc.bin)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if count > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d pairs exceeds the limit of %d", count, s.cfg.MaxBatch))
-		return
-	}
-	qc.pairs, err = wire.DecodeBatchRequest(qc.pairs, qc.bin)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	n := len(qc.pairs)
+	n := len(qc.Pairs)
 	release, ok := s.admit(w, n)
 	if !ok {
 		return
@@ -617,19 +508,12 @@ func (s *Server) handleBatchBinary(st *dsState, w http.ResponseWriter, r *http.R
 	if !s.charge(w, r, n) {
 		return
 	}
-	if cap(qc.dists) < n {
-		qc.dists = make([]uint32, n)
-	}
-	qc.dists = qc.dists[:n]
-	if err := s.queryBatch(st, qc.dists, qc.pairs); err != nil {
-		writeError(w, http.StatusBadGateway, "backend query failed: "+err.Error())
+	if err := s.queryBatch(st, qc.Dists, qc.Pairs); err != nil {
+		wire.WriteError(w, http.StatusBadGateway, "backend query failed: "+err.Error())
 		return
 	}
 	s.count(st, int64(n))
-	qc.bin = wire.AppendBatchResponse(qc.bin[:0], qc.dists)
-	w.Header().Set("Content-Type", wire.ContentTypeBinaryBatch)
-	w.WriteHeader(http.StatusOK)
-	w.Write(qc.bin)
+	qc.Write(w)
 }
 
 // handleRows serves POST /v1/{ds}/rows: raw label rows by rank, the
@@ -642,18 +526,19 @@ func (s *Server) handleRows(st *dsState, w http.ResponseWriter, r *http.Request)
 	t0 := s.now()
 	defer func() { s.observe(st, t0) }()
 	if st.rows == nil {
-		writeError(w, http.StatusNotImplemented,
+		wire.WriteError(w, http.StatusNotImplemented,
 			fmt.Sprintf("backend %q does not serve label rows (shard backends only)", st.backend.Backend))
 		return
 	}
 	qc := s.ctxPool.Get().(*queryCtx)
 	defer s.ctxPool.Put(qc)
-	if !s.readBinary(w, r, qc) {
+	var ok bool
+	if qc.Body, ok = wire.ReadBinaryBody(w, r, qc.Body, s.cfg.MaxBatch); !ok {
 		return
 	}
-	keys, err := shard.DecodeRowsRequest(qc.bin)
+	keys, err := shard.DecodeRowsRequest(qc.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	release, ok := s.admit(w, len(keys))
@@ -670,94 +555,15 @@ func (s *Server) handleRows(st *dsState, w http.ResponseWriter, r *http.Request)
 			rows[i], ok = st.rows.OutRowRanked(k.Rank)
 		}
 		if !ok {
-			writeError(w, http.StatusBadGateway,
+			wire.WriteError(w, http.StatusBadGateway,
 				fmt.Sprintf("rank %d is outside this shard's owned range (stale shard map?)", k.Rank))
 			return
 		}
 	}
-	qc.bin = shard.AppendRowsResponse(qc.bin[:0], rows)
+	qc.Body = shard.AppendRowsResponse(qc.Body[:0], rows)
 	w.Header().Set("Content-Type", shard.ContentTypeRows)
 	w.WriteHeader(http.StatusOK)
-	w.Write(qc.bin)
-}
-
-func (s *Server) handleBatchJSON(st *dsState, w http.ResponseWriter, r *http.Request) {
-	qc := s.ctxPool.Get().(*queryCtx)
-	defer s.ctxPool.Put(qc)
-
-	// Bound the body before parsing: 64 bytes comfortably covers one
-	// encoded pair even with pretty-printed whitespace, so an in-budget
-	// batch is never clipped but a grossly oversized one fails fast.
-	maxBody := int64(s.cfg.MaxBatch)*64 + 64
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	qc.raw = qc.raw[:0]
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(&qc.raw); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes (max-batch is %d pairs)", maxBody, s.cfg.MaxBatch))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "body must be a JSON array of [s,t] pairs: "+err.Error())
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		// Decode stops after the first JSON value; anything but EOF
-		// behind it means the client framed the request wrong, and
-		// answering just the first value would silently drop the rest.
-		writeError(w, http.StatusBadRequest, "trailing data after the batch array")
-		return
-	}
-	if len(qc.raw) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d pairs exceeds the limit of %d", len(qc.raw), s.cfg.MaxBatch))
-		return
-	}
-
-	n := len(qc.raw)
-	release, ok := s.admit(w, n)
-	if !ok {
-		return
-	}
-	defer release()
-	if !s.charge(w, r, n) {
-		return
-	}
-	if cap(qc.pairs) < n {
-		qc.pairs = make([]hopdb.QueryPair, n)
-	}
-	if cap(qc.dists) < n {
-		qc.dists = make([]uint32, n)
-	}
-	if cap(qc.results) < n {
-		qc.results = make([]DistanceResult, n)
-	}
-	qc.pairs, qc.dists, qc.results = qc.pairs[:n], qc.dists[:n], qc.results[:n]
-	if qc.results == nil {
-		// Keep the documented shape: an empty batch answers
-		// {"results":[]}, never {"results":null}.
-		qc.results = []DistanceResult{}
-	}
-	for i, p := range qc.raw {
-		qc.pairs[i] = hopdb.QueryPair{S: p[0], T: p[1]}
-	}
-	if err := s.queryBatch(st, qc.dists, qc.pairs); err != nil {
-		writeError(w, http.StatusBadGateway, "backend query failed: "+err.Error())
-		return
-	}
-	s.count(st, int64(n))
-	for i := range qc.results {
-		qc.results[i] = DistanceResult{
-			S:         qc.pairs[i].S,
-			T:         qc.pairs[i].T,
-			Reachable: qc.dists[i] != hopdb.Infinity,
-		}
-		if qc.results[i].Reachable {
-			qc.results[i].Distance = &qc.dists[i]
-		}
-	}
-	writeJSON(w, http.StatusOK, BatchResult{Results: qc.results})
+	w.Write(qc.Body)
 }
 
 func (s *Server) handlePath(st *dsState, w http.ResponseWriter, r *http.Request) {
@@ -766,7 +572,7 @@ func (s *Server) handlePath(st *dsState, w http.ResponseWriter, r *http.Request)
 	if !s.replicationGate(st, w, r) {
 		return
 	}
-	sv, tv, ok := parsePair(w, r)
+	sv, tv, ok := wire.ParsePair(w, r)
 	if !ok {
 		return
 	}
@@ -774,7 +580,7 @@ func (s *Server) handlePath(st *dsState, w http.ResponseWriter, r *http.Request)
 		return
 	}
 	if st.pather == nil {
-		writeError(w, http.StatusNotImplemented,
+		wire.WriteError(w, http.StatusNotImplemented,
 			fmt.Sprintf("the %s backend answers distances only; path reconstruction needs an in-memory index with a graph attached", st.backend.Backend))
 		return
 	}
@@ -782,24 +588,24 @@ func (s *Server) handlePath(st *dsState, w http.ResponseWriter, r *http.Request)
 	s.count(st, 1)
 	switch {
 	case errors.Is(err, hopdb.ErrNoGraph):
-		writeError(w, http.StatusNotImplemented, "path reconstruction needs a graph; start hopdb-serve with -graph")
+		wire.WriteError(w, http.StatusNotImplemented, "path reconstruction needs a graph; start hopdb-serve with -graph")
 		return
 	case errors.Is(err, hopdb.ErrUnreachable):
-		writeError(w, http.StatusNotFound, fmt.Sprintf("%d is unreachable from %d", tv, sv))
+		wire.WriteError(w, http.StatusNotFound, fmt.Sprintf("%d is unreachable from %d", tv, sv))
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error())
+		wire.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	d, _ := st.q.Distance(sv, tv)
-	writeJSON(w, http.StatusOK, PathResult{S: sv, T: tv, Distance: d, Path: path})
+	wire.WriteJSON(w, http.StatusOK, PathResult{S: sv, T: tv, Distance: d, Path: path})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !wire.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleAdminEdges is the mutating admin API: POST /v1/{ds}/admin/edges
@@ -811,12 +617,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // is purged whenever at least one op changed the graph.
 func (s *Server) handleAdminEdges(st *dsState, w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Replica {
-		writeError(w, http.StatusForbidden,
+		wire.WriteError(w, http.StatusForbidden,
 			"this server is a pull replica; apply edge updates at the primary")
 		return
 	}
 	if st.updater == nil {
-		writeError(w, http.StatusNotImplemented,
+		wire.WriteError(w, http.StatusNotImplemented,
 			fmt.Sprintf("the %s backend is read-only; edge updates need hopdb-serve -updates (heap index with a graph)", st.backend.Backend))
 		return
 	}
@@ -830,19 +636,19 @@ func (s *Server) handleAdminEdges(st *dsState, w http.ResponseWriter, r *http.Re
 	if err := dec.Decode(&ops); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			wire.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes (max-batch is %d ops)", maxBody, s.cfg.MaxBatch))
 			return
 		}
-		writeError(w, http.StatusBadRequest, "body must be a JSON array of edge ops: "+err.Error())
+		wire.WriteError(w, http.StatusBadRequest, "body must be a JSON array of edge ops: "+err.Error())
 		return
 	}
 	if tok, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("trailing data after the ops array (%v)", tok))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("trailing data after the ops array (%v)", tok))
 		return
 	}
 	if len(ops) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		wire.WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("update of %d ops exceeds the limit of %d", len(ops), s.cfg.MaxBatch))
 		return
 	}
@@ -872,10 +678,10 @@ func (s *Server) handleAdminEdges(st *dsState, w http.ResponseWriter, r *http.Re
 				break
 			}
 		}
-		writeJSON(w, status, res)
+		wire.WriteJSON(w, status, res)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	wire.WriteJSON(w, http.StatusOK, res)
 }
 
 // handleReplicationLog serves the mutation journal: GET
@@ -886,7 +692,7 @@ func (s *Server) handleAdminEdges(st *dsState, w http.ResponseWriter, r *http.Re
 // retained window and the puller must reseed from a snapshot.
 func (s *Server) handleReplicationLog(st *dsState, w http.ResponseWriter, r *http.Request) {
 	if st.rep == nil {
-		writeError(w, http.StatusNotImplemented,
+		wire.WriteError(w, http.StatusNotImplemented,
 			fmt.Sprintf("the %s backend does not journal mutations; replication needs hopdb-serve -updates", st.backend.Backend))
 		return
 	}
@@ -898,7 +704,7 @@ func (s *Server) handleReplicationLog(st *dsState, w http.ResponseWriter, r *htt
 		}
 		v, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("parameter %s=%q is not a non-negative integer", name, raw))
+			wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parameter %s=%q is not a non-negative integer", name, raw))
 			return 0, false
 		}
 		return v, true
@@ -920,13 +726,13 @@ func (s *Server) handleReplicationLog(st *dsState, w http.ResponseWriter, r *htt
 	log, err := st.rep.ReplicationLog(since, int(max))
 	switch {
 	case errors.Is(err, hopdb.ErrJournalGap):
-		writeError(w, http.StatusGone, err.Error())
+		wire.WriteError(w, http.StatusGone, err.Error())
 		return
 	case errors.Is(err, hopdb.ErrSeqGap):
-		writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error())
+		wire.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if log.Ops == nil {
@@ -934,7 +740,7 @@ func (s *Server) handleReplicationLog(st *dsState, w http.ResponseWriter, r *htt
 		// {"ops":[]}, never {"ops":null}.
 		log.Ops = []wire.SeqEdgeOp{}
 	}
-	writeJSON(w, http.StatusOK, log)
+	wire.WriteJSON(w, http.StatusOK, log)
 }
 
 // handleMetrics serves the Prometheus text exposition (plaintext, no
@@ -943,7 +749,7 @@ func (s *Server) handleReplicationLog(st *dsState, w http.ResponseWriter, r *htt
 // unlabeled names), and the same series per dataset under
 // hopdb_dataset_* with a dataset label.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !wire.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	uptime := s.now().Sub(s.start).Seconds()
@@ -1087,58 +893,5 @@ func (s *Server) Stats() StatsResult {
 }
 
 func (s *Server) handleStats(st *dsState, w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.statsFor(st))
+	wire.WriteJSON(w, http.StatusOK, s.statsFor(st))
 }
-
-// parsePair pulls the s/t query parameters, writing a 400 on failure.
-func parsePair(w http.ResponseWriter, r *http.Request) (sv, tv int32, ok bool) {
-	q := r.URL.Query()
-	parse := func(name string) (int32, bool) {
-		raw := q.Get(name)
-		if raw == "" {
-			writeError(w, http.StatusBadRequest, "missing required parameter "+name)
-			return 0, false
-		}
-		v, err := strconv.ParseInt(raw, 10, 32)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("parameter %s=%q is not a vertex id", name, raw))
-			return 0, false
-		}
-		return int32(v), true
-	}
-	if sv, ok = parse("s"); !ok {
-		return 0, 0, false
-	}
-	if tv, ok = parse("t"); !ok {
-		return 0, 0, false
-	}
-	return sv, tv, true
-}
-
-// allowMethod writes a 405 (with Allow) unless r uses one of the given
-// methods.
-func allowMethod(w http.ResponseWriter, r *http.Request, methods ...string) bool {
-	return wire.AllowMethod(w, r, methods...)
-}
-
-// readAllInto appends r's contents to dst, like io.ReadAll but reusing
-// dst's capacity.
-func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) { wire.WriteJSON(w, status, v) }
-
-func writeError(w http.ResponseWriter, status int, msg string) { wire.WriteError(w, status, msg) }

@@ -112,13 +112,13 @@ func TestBatchEndpoint(t *testing.T) {
 	body, _ := json.Marshal(pairs)
 	// Two rounds: batches bypass the distance cache, so the second round
 	// answers from the backend exactly as the first did.
-	var first []DistanceResult
+	var first []wire.DistanceResult
 	for round := 0; round < 2; round++ {
 		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(string(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var br BatchResult
+		var br wire.BatchResult
 		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestConcurrentClients(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					var dr DistanceResult
+					var dr wire.DistanceResult
 					err = json.NewDecoder(resp.Body).Decode(&dr)
 					resp.Body.Close()
 					if err != nil {
@@ -340,7 +340,7 @@ func TestConcurrentClients(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					var br BatchResult
+					var br wire.BatchResult
 					err = json.NewDecoder(resp.Body).Decode(&br)
 					resp.Body.Close()
 					if err != nil || len(br.Results) != 2 {
@@ -523,7 +523,7 @@ func TestDiskBackendServing(t *testing.T) {
 			if status != 200 {
 				t.Fatalf("disk /v1/distance = %d", status)
 			}
-			var dr DistanceResult
+			var dr wire.DistanceResult
 			if err := json.Unmarshal([]byte(body), &dr); err != nil {
 				t.Fatal(err)
 			}

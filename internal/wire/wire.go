@@ -4,6 +4,12 @@
 // reconstruction, the JSON shapes of the versioned /v1 API, and the
 // compact binary batch encoding negotiated by Content-Type.
 //
+// It is also the one HTTP query front end (http.go): the s/t parser,
+// the read-your-writes gate, the bounded batch body reader, the JSON
+// and binary batch decoder (Batch) and the distance/batch response
+// writers. The server and both router paths call these, so a router
+// answers every request exactly as a replica would.
+//
 // It exists as a separate internal package so the public client package
 // can implement hopdb.Querier without importing the root package (which
 // imports the client for hopdb.Open's WithRemote): both sides alias or
@@ -417,18 +423,11 @@ func AppendBatchRequest(dst []byte, pairs []QueryPair) []byte {
 	return dst
 }
 
-// BatchRequestCount parses only the header of a binary batch request and
-// returns the claimed pair count, so servers can reject oversized batches
-// before allocating anything proportional to the claim.
-func BatchRequestCount(b []byte) (int, error) {
-	return headerCount(b, batchReqMagic, "batch request", pairBytes)
-}
-
 // DecodeBatchRequest decodes a binary batch request into dst (reusing its
 // backing array when large enough) and returns the pairs. The encoding is
 // strict: a size that disagrees with the header count is an error.
 func DecodeBatchRequest(dst []QueryPair, b []byte) ([]QueryPair, error) {
-	count, err := BatchRequestCount(b)
+	count, err := headerCount(b, batchReqMagic, "batch request", pairBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -484,14 +483,23 @@ func appendHeader(dst []byte, magic string, count int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(count))
 }
 
-func headerCount(b []byte, magic, what string, itemBytes int) (int, error) {
+// header parses the magic and the claimed count of a binary batch
+// body, checking the count against nothing else.
+func header(b []byte, magic, what string) (uint32, error) {
 	if len(b) < batchHeaderSize {
 		return 0, fmt.Errorf("wire: %s truncated (%d bytes)", what, len(b))
 	}
 	if string(b[:4]) != magic {
 		return 0, fmt.Errorf("wire: bad %s magic %q", what, b[:4])
 	}
-	count := binary.LittleEndian.Uint32(b[4:8])
+	return binary.LittleEndian.Uint32(b[4:8]), nil
+}
+
+func headerCount(b []byte, magic, what string, itemBytes int) (int, error) {
+	count, err := header(b, magic, what)
+	if err != nil {
+		return 0, err
+	}
 	if int64(count) > int64(len(b)-batchHeaderSize)/int64(itemBytes) {
 		// A count beyond the payload is rejected before any count-driven
 		// allocation; the exact-size checks in the decoders then make

@@ -14,10 +14,6 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 	}
 	for _, pairs := range cases {
 		b := AppendBatchRequest(nil, pairs)
-		count, err := BatchRequestCount(b)
-		if err != nil || count != len(pairs) {
-			t.Fatalf("BatchRequestCount = %d, %v, want %d", count, err, len(pairs))
-		}
 		got, err := DecodeBatchRequest(nil, b)
 		if err != nil {
 			t.Fatalf("DecodeBatchRequest: %v", err)
