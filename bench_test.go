@@ -160,7 +160,7 @@ func BenchmarkTable6QueryDisk(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(b.TempDir(), "bench.didx")
+	path := filepath.Join(b.TempDir(), "bench.idx")
 	if err := diskidx.Write(path, hop); err != nil {
 		b.Fatal(err)
 	}

@@ -52,8 +52,7 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	idxPath := filepath.Join(dir, "g.idx")
-	diskPath := filepath.Join(dir, "g.didx")
-	out, err = exec.Command(buildBin, "-in", graphPath, "-o", idxPath, "-disk", diskPath, "-stats").CombinedOutput()
+	out, err = exec.Command(buildBin, "-in", graphPath, "-o", idxPath, "-stats").CombinedOutput()
 	if err != nil {
 		t.Fatalf("hopdb-build: %v\n%s", err, out)
 	}
@@ -87,7 +86,7 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	memOut := run("-idx", idxPath)
 	mmapOut := run("-idx", idxPath, "-mmap")
-	diskOut := run("-disk", diskPath)
+	diskOut := run("-disk", idxPath)
 	extOut := run("-idx", extIdx)
 	if memOut != diskOut || memOut != extOut || memOut != mmapOut {
 		t.Errorf("query outputs differ:\nmem:\n%s\nmmap:\n%s\ndisk:\n%s\next:\n%s", memOut, mmapOut, diskOut, extOut)

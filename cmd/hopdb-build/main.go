@@ -1,6 +1,8 @@
 // Command hopdb-build constructs a Hop-Doubling label index from an
-// edge-list file and writes it to disk, in either the loadable binary
-// format (-o) or the block-addressable disk-query format (-disk).
+// edge-list file and writes it to -o as a v2 index image: the one file
+// that hopdb-query and hopdb-serve load onto the heap, memory-map (-mmap)
+// or serve from disk (-disk). -compact writes the smaller v3 image
+// instead, which only loads onto the heap.
 //
 // Usage:
 //
@@ -35,8 +37,7 @@ import (
 func main() {
 	var (
 		in         = flag.String("in", "", "input edge list (required)")
-		out        = flag.String("o", "", "output index file (loadable format)")
-		disk       = flag.String("disk", "", "output disk-query index file")
+		out        = flag.String("o", "", "output index file (v2; v3 with -compact)")
 		directed   = flag.Bool("directed", false, "treat edges as directed")
 		weighted   = flag.Bool("weighted", false, "read third column as weight")
 		method     = flag.String("method", "hybrid", "construction method: hybrid | doubling | stepping")
@@ -56,8 +57,8 @@ func main() {
 		shardDir   = flag.String("shard-dir", "", "output directory for -shards: leaf/hub shard files and shard.json")
 	)
 	flag.Parse()
-	if *in == "" || (*out == "" && *disk == "" && *shards == 0) {
-		fmt.Fprintln(os.Stderr, "hopdb-build: -in and one of -o/-disk/-shards are required")
+	if *in == "" || (*out == "" && *shards == 0) {
+		fmt.Fprintln(os.Stderr, "hopdb-build: -in and one of -o/-shards are required")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -70,8 +71,8 @@ func main() {
 		if *shardDir == "" {
 			fail(errors.New("-shards requires -shard-dir"))
 		}
-		if *out != "" || *disk != "" || *compact {
-			fail(errors.New("-shards writes shard files to -shard-dir; drop -o/-disk/-compact"))
+		if *out != "" || *compact {
+			fail(errors.New("-shards writes shard files to -shard-dir; drop -o/-compact"))
 		}
 		// Shard construction streams from the external builder's record
 		// files; -shards without -external just turns it on.
@@ -186,22 +187,14 @@ func main() {
 				it.GrowingFactor(), it.PruningFactor()*100, it.LabelSize, ios, it.Duration)
 		}
 	}
-	if *out != "" {
-		save := idx.Save
-		if *compact {
-			save = idx.SaveCompact
-		}
-		if err := save(*out); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
+	save := idx.Save
+	if *compact {
+		save = idx.SaveCompact
 	}
-	if *disk != "" {
-		if err := idx.SaveDiskIndex(*disk); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *disk)
+	if err := save(*out); err != nil {
+		fail(err)
 	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 }
 
 func fail(err error) {

@@ -1,15 +1,16 @@
 // Command hopdb-query answers point-to-point distance queries against an
 // index built by hopdb-build, through the backend-agnostic hopdb.Open
 // entry point. Queries are "s t" pairs, one per line, read from -q (the
-// conventional "-" means stdin, as does omitting -q). With -disk it
-// queries the block-addressable format directly from disk and reports
-// I/O counts; with -mmap it memory-maps the index.
+// conventional "-" means stdin, as does omitting -q). -idx reads the
+// index onto the heap, or with -mmap memory-maps it; -disk serves the
+// same v2 file from disk instead, reading two label rows per query, and
+// reports I/O counts.
 //
 // Usage:
 //
 //	echo "3 17" | hopdb-query -idx graph.idx
 //	hopdb-query -idx graph.idx -mmap -q queries.txt
-//	hopdb-query -disk graph.didx -q -     # explicit stdin
+//	hopdb-query -disk graph.idx -q -      # explicit stdin
 //
 // Exit status:
 //
@@ -44,7 +45,7 @@ const (
 func main() {
 	var (
 		idxPath  = flag.String("idx", "", "loadable index file")
-		diskPath = flag.String("disk", "", "disk-query index file")
+		diskPath = flag.String("disk", "", "index file (v2 flat format) to serve from disk, labels unloaded")
 		qPath    = flag.String("q", "-", `query file ("-" or empty = stdin)`)
 		cache    = flag.Int("cache", 0, "disk label cache entries")
 		useMmap  = flag.Bool("mmap", false, "memory-map the -idx file (v2 flat format) and serve the labels from the mapping, paged on demand")

@@ -1,7 +1,7 @@
 // Command hopdb-serve is the long-lived query server: it opens a
 // hop-doubling label index once through hopdb.Open — read into memory,
 // mmap'd and served from the mapping (-mmap), served
-// straight from the block-addressable disk format (-disk), or even
+// straight from disk (-disk takes the same v2 file as -idx), or even
 // proxied from another hopdb-serve (-remote) — and answers distance
 // queries over the versioned /v1 HTTP API until shut down.
 //
@@ -9,7 +9,7 @@
 //
 //	hopdb-serve -idx graph.idx [-addr :8080] [-cache 100000]
 //	hopdb-serve -idx graph.idx -mmap -graph graph.txt   # enables /v1/path
-//	hopdb-serve -disk graph.didx -disk-cache 4096       # labels stay on disk
+//	hopdb-serve -disk graph.idx -disk-cache 4096        # labels stay on disk
 //	hopdb-serve -remote http://other:8080               # proxy + cache tier
 //	hopdb-serve -shard shards/leaf0.sidx -shard-map shards/shard.json
 //	                                                    # one rank shard of a
@@ -22,7 +22,7 @@
 //	    -replica-of http://primary:8080 -replica-token secret
 //	                                                    # pull replica: replays
 //	                                                    # the primary's journal
-//	hopdb-serve -dataset wiki=wiki.idx -dataset road=road.didx,disk \
+//	hopdb-serve -dataset wiki=wiki.idx -dataset road=road.idx,disk \
 //	    -token-file tokens.json                         # multi-tenant: named
 //	                                                    # datasets + principals
 //
@@ -77,7 +77,7 @@ import (
 func main() {
 	var (
 		idxPath    = flag.String("idx", "", "index file built by hopdb-build (one of -idx/-disk/-remote/-shard)")
-		diskPath   = flag.String("disk", "", "disk-query index file built by hopdb-build -disk")
+		diskPath   = flag.String("disk", "", "index file built by hopdb-build, served from disk")
 		remoteURL  = flag.String("remote", "", "upstream hopdb-serve URL to proxy (adds a serving + cache tier)")
 		shardPath  = flag.String("shard", "", "rank-shard file written by hopdb-build -shards; serves only its rank range (pair with hopdb-router -shard-map)")
 		shardMapP  = flag.String("shard-map", "", "shard.json to validate -shard against (optional but recommended)")

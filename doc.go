@@ -42,7 +42,7 @@
 //
 //	q, _ := hopdb.Open("g.idx")                                       // heap
 //	q, _ := hopdb.Open("g.idx", hopdb.WithMmap())                     // memory-mapped, served in place
-//	q, _ := hopdb.Open("g.didx", hopdb.WithDisk(hopdb.DiskOptions{})) // disk-resident
+//	q, _ := hopdb.Open("g.idx", hopdb.WithDisk(hopdb.DiskOptions{}))  // disk-resident
 //	q, _ := hopdb.Open("", hopdb.WithRemote("http://host:8080"))      // behind hopdb-serve
 //
 // WithGraph re-attaches the original graph (enabling Path via the Pather
@@ -57,10 +57,13 @@
 // Open serves it in place from a single file-sized read, and
 // Open(path, WithMmap()) serves it from the mapping itself: the payload
 // is never copied, and a mapped index lives in the page cache with O(1)
-// heap. Every in-memory index reads those arrays as the base of a label
-// epoch (internal/dynamic); Open(path, WithGraph(g), WithUpdates(...))
-// returns the same Index with Updatable on top, whose edge updates
-// publish copy-on-write successor epochs.
+// heap. Open(path, WithDisk(...)) serves the same file straight from
+// disk, keeping only the perm and offset tables resident and reading the
+// two label rows each query needs. Every in-memory index reads those
+// arrays as the base of a label epoch (internal/dynamic);
+// Open(path, WithGraph(g), WithUpdates(...)) returns the same Index with
+// Updatable on top, whose edge updates publish copy-on-write successor
+// epochs.
 //
 // # Beyond distances
 //
@@ -68,8 +71,6 @@
 // descending the distance field. For undirected unweighted graphs,
 // Index.EnableBitParallel folds the top-ranked hub labels into the
 // bit-parallel form of the paper's Section 6, accelerating queries.
-// Index.SaveDiskIndex writes the block-addressable format that
-// Open(path, WithDisk(...)) serves straight from disk, reading only two
-// label blocks per query; package repro/client serves the same contract
-// over HTTP from a hopdb-serve instance.
+// Package repro/client serves the same contract over HTTP from a
+// hopdb-serve instance.
 package hopdb

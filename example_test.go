@@ -31,22 +31,18 @@ func Example_open() {
 	}
 	defer os.RemoveAll(dir)
 	idxPath := filepath.Join(dir, "g.idx")
-	diskPath := filepath.Join(dir, "g.didx")
 	if err := idx.Save(idxPath); err != nil {
 		panic(err)
 	}
-	if err := idx.SaveDiskIndex(diskPath); err != nil {
-		panic(err)
-	}
 
-	// Three regimes, one contract, identical answers.
+	// One file, three regimes, one contract, identical answers.
 	backends := []struct {
 		path string
 		opts []hopdb.OpenOption
 	}{
 		{idxPath, nil},
 		{idxPath, []hopdb.OpenOption{hopdb.WithMmap()}},
-		{diskPath, []hopdb.OpenOption{hopdb.WithDisk(hopdb.DiskOptions{})}},
+		{idxPath, []hopdb.OpenOption{hopdb.WithDisk(hopdb.DiskOptions{})}},
 	}
 	for _, be := range backends {
 		q, err := hopdb.Open(be.path, be.opts...)

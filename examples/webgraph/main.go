@@ -56,20 +56,20 @@ func main() {
 		shown++
 	}
 
-	// Persist, then query from disk with block I/O accounting: the mode
-	// that lets indexes larger than RAM serve queries. hopdb.Open hands
-	// back the same Querier contract the in-memory index satisfies, so
-	// the two are drop-in interchangeable.
+	// Save, then serve that same file from disk with block I/O
+	// accounting: the mode that lets indexes larger than RAM serve
+	// queries. hopdb.Open hands back the same Querier contract the
+	// in-memory index satisfies, so the two are drop-in interchangeable.
 	dir, err := os.MkdirTemp("", "hopdb-web-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	diskPath := filepath.Join(dir, "web.didx")
-	if err := idx.SaveDiskIndex(diskPath); err != nil {
+	idxPath := filepath.Join(dir, "web.idx")
+	if err := idx.Save(idxPath); err != nil {
 		log.Fatal(err)
 	}
-	dq, err := hopdb.Open(diskPath, hopdb.WithDisk(hopdb.DiskOptions{CacheLabels: 64}))
+	dq, err := hopdb.Open(idxPath, hopdb.WithDisk(hopdb.DiskOptions{CacheLabels: 64}))
 	if err != nil {
 		log.Fatal(err)
 	}

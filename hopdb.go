@@ -131,8 +131,7 @@ type Stats = core.BuildStats
 // through this one type: the labels are the current epoch of a
 // maintenance engine (internal/dynamic), a flat CSR base plus a
 // copy-on-write overlay that stays empty unless the index was opened for
-// updates. The slice-of-slices form is kept only as a read-only view for
-// analysis tooling.
+// updates.
 //
 // # Concurrency
 //
@@ -171,7 +170,7 @@ func newIndex(flat *label.FlatIndex, g *Graph) *Index {
 // updatable one.
 func (x *Index) flat() *label.FlatIndex { return x.eng.Current().Flat() }
 
-// view materializes the nested form for the tooling that wants it: N
+// view materializes the nested form the bit-parallel transform reads: N
 // slice headers per side aliasing the labels' arrays, built per call so
 // an index never pays for them unless asked.
 func (x *Index) view() *label.Index { return x.flat().View() }
@@ -269,12 +268,6 @@ func (x *Index) AvgLabel() float64 {
 // SizeBytes returns the serialized label size in bytes.
 func (x *Index) SizeBytes() int64 { return x.eng.Current().SizeBytes() }
 
-// Labels exposes the underlying label index for analysis tooling
-// (coverage statistics, serialization formats). It is a read-only view,
-// built per call, aliasing the flat arrays; mutating it corrupts the
-// index.
-func (x *Index) Labels() *label.Index { return x.view() }
-
 // EnableBitParallel folds the top-ranked hub labels into bit-parallel
 // tuples (paper Section 6). Only undirected unweighted indexes qualify;
 // roots <= 0 selects the paper's default of 50.
@@ -330,8 +323,9 @@ func (x *Index) EnableCompact() error {
 }
 
 // Save writes the index to path in the v2 flat binary format, whose label
-// payload is the CSR arrays verbatim (loadable with Open, or
-// memory-mapped with Open(path, WithMmap())). An updatable index writes
+// payload is the CSR arrays verbatim: the one file Open reads onto the
+// heap, Open(path, WithMmap()) maps and Open(path, WithDisk(opt)) serves
+// from disk. An updatable index writes
 // its current epoch, so a patched index reopens without a rebuild.
 func (x *Index) Save(path string) error { return x.save(path, (*label.FlatIndex).Write) }
 
@@ -386,15 +380,9 @@ func (x *Index) Close() error { return x.eng.Current().Base().Close() }
 // is shared across goroutines; see the Index concurrency contract.
 func (x *Index) AttachGraph(g *Graph) { x.g = g }
 
-// SaveDiskIndex writes the index in the block-addressable on-disk format
-// answered by Open(path, WithDisk(opt)). The cached nested view aliases
-// the flat arrays, so no label entries are copied.
-func (x *Index) SaveDiskIndex(path string) error {
-	return diskidx.Write(path, x.view())
-}
-
-// DiskIndex answers queries directly from an on-disk index; Open(path,
-// WithDisk(opt)) opens one and Disk reaches it behind the Querier.
+// DiskIndex answers queries from a saved v2 index file without loading
+// its labels; Open(path, WithDisk(opt)) opens one and Disk reaches it
+// behind the Querier.
 type DiskIndex = diskidx.DiskIndex
 
 // DiskOptions tunes disk-index querying.

@@ -150,8 +150,8 @@ func TestDiskIndexThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "idx.disk")
-	if err := idx.SaveDiskIndex(path); err != nil {
+	path := filepath.Join(t.TempDir(), "g.idx")
+	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	q, err := Open(path, WithDisk(DiskOptions{}))

@@ -120,6 +120,18 @@ func TestTiersAnswerAlike(t *testing.T) {
 				minSeq: seq, body: batch, status: status})
 		}
 	}
+	// An empty batch, JSON and binary: every tier judges its min-seq
+	// demand as a server does.
+	for _, e := range []struct{ name, contentType, body string }{
+		{"batch/empty", "application/json", "[]"},
+		{"batch/empty-binary", wire.ContentTypeBinaryBatch, string(wire.AppendBatchRequest(nil, nil))},
+	} {
+		r := conformanceReq{name: e.name, method: http.MethodPost, path: "/v1/batch",
+			contentType: e.contentType, body: []byte(e.body), status: http.StatusOK}
+		demand := r
+		demand.name, demand.minSeq, demand.status = e.name+"/min-seq-3", "3", http.StatusServiceUnavailable
+		reqs = append(reqs, r, demand)
+	}
 	// A malformed demand is refused before a malformed body is read.
 	reqs = append(reqs, conformanceReq{name: "batch/min-seq-x-bad-body", method: http.MethodPost,
 		path: "/v1/batch", contentType: "application/json", minSeq: "x", body: []byte("[[5]]"),

@@ -554,8 +554,10 @@ func (rt *Router) replicatedAnswer(ctx context.Context, ds string, dists []uint3
 		mu  sync.Mutex
 		pos replicaPos
 	)
+	// An empty batch still sends one (empty) chunk, so a replica judges
+	// the request's min-seq demand as it would for any other batch.
 	size := rt.cfg.ChunkSize
-	fail := scatter((len(pairs)+size-1)/size, func(i int) *upstream {
+	fail := scatter(max(1, (len(pairs)+size-1)/size), func(i int) *upstream {
 		lo := i * size
 		hi := min(lo+size, len(pairs))
 		req := wire.AppendBatchRequest(nil, pairs[lo:hi])

@@ -1,8 +1,10 @@
-// Package diskidx stores a finished 2-hop index on disk and answers
-// queries by reading only the two label blocks a query needs, keeping the
-// per-vertex offset table in memory. This is the query path behind the
-// paper's "Disk query time" column (Table 6): the index never has to be
-// resident, so graphs whose labels exceed RAM remain queryable.
+// Package diskidx answers queries from a saved v2 index image (the file
+// hopdb-build -o and Index.Save write) by reading only the two label rows
+// a query needs, keeping the perm and offset tables in memory. This is
+// the query path behind the paper's "Disk query time" column (Table 6):
+// the labels never have to be resident, so graphs whose labels exceed RAM
+// remain queryable. Open validates the image's preamble with the parser
+// every heap and mmap open runs (label.ParseFlatPreamble).
 //
 // Reads are counted in blocks of BlockBytes so benchmarks can report the
 // I/O cost alongside wall-clock time, and an optional LRU label cache
@@ -11,14 +13,11 @@
 // A DiskIndex is safe for concurrent use: queries go through ReadAt on a
 // shared file handle, the I/O counter is atomic, and the label cache is
 // mutex-guarded. Throughput callers should give each worker its own
-// Scratch so repeated queries reuse read and decode buffers instead of
-// allocating per label list.
+// Scratch so repeated queries reuse their read buffers instead of
+// allocating per label row.
 package diskidx
 
 import (
-	"encoding/binary"
-	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -28,116 +27,19 @@ import (
 	"repro/internal/lru"
 )
 
-const (
-	magic = "HDDX"
-	// entryBytes is the wide encoding: pivot uint32 + dist uint32. When
-	// every distance fits in one byte the writer switches to the
-	// paper's compact encoding (pivot uint32 + dist uint8).
-	entryBytes        = 8
-	compactEntryBytes = 5
-)
-
-// Write serializes x into the disk-index format at path.
+// Write freezes x and saves it as the v2 image that Open serves (and
+// that every other open regime reads too).
 func Write(path string, x *label.Index) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := writeTo(f, x); err != nil {
+	if err := label.Freeze(x).Write(f); err != nil {
 		f.Close()
 		os.Remove(path)
 		return err
 	}
 	return f.Close()
-}
-
-func writeTo(w io.Writer, x *label.Index) error {
-	var hdr [10]byte
-	copy(hdr[:4], magic)
-	hdr[4] = 1
-	flags := byte(0)
-	if x.Directed {
-		flags |= 1
-	}
-	if x.Weighted {
-		flags |= 2
-	}
-	if x.Perm != nil {
-		flags |= 4
-	}
-	compact := fitsCompact(x)
-	if compact {
-		flags |= 8
-	}
-	hdr[5] = flags
-	binary.LittleEndian.PutUint32(hdr[6:10], uint32(x.N))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var b4 [4]byte
-	if x.Perm != nil {
-		for _, p := range x.Perm {
-			binary.LittleEndian.PutUint32(b4[:], uint32(p))
-			if _, err := w.Write(b4[:]); err != nil {
-				return err
-			}
-		}
-	}
-	width := uint64(entryBytes)
-	if compact {
-		width = compactEntryBytes
-	}
-	writeOffsets := func(lists [][]label.Entry) error {
-		var off uint64
-		var b8 [8]byte
-		binary.LittleEndian.PutUint64(b8[:], 0)
-		if _, err := w.Write(b8[:]); err != nil {
-			return err
-		}
-		for _, l := range lists {
-			off += uint64(len(l)) * width
-			binary.LittleEndian.PutUint64(b8[:], off)
-			if _, err := w.Write(b8[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	writeEntries := func(lists [][]label.Entry) error {
-		var b8 [8]byte
-		for _, l := range lists {
-			for _, e := range l {
-				binary.LittleEndian.PutUint32(b8[:4], uint32(e.Pivot))
-				if compact {
-					b8[4] = byte(e.Dist)
-					if _, err := w.Write(b8[:compactEntryBytes]); err != nil {
-						return err
-					}
-					continue
-				}
-				binary.LittleEndian.PutUint32(b8[4:], e.Dist)
-				if _, err := w.Write(b8[:]); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := writeOffsets(x.Out); err != nil {
-		return err
-	}
-	if x.Directed {
-		if err := writeOffsets(x.In); err != nil {
-			return err
-		}
-	}
-	if err := writeEntries(x.Out); err != nil {
-		return err
-	}
-	if x.Directed {
-		return writeEntries(x.In)
-	}
-	return nil
 }
 
 // Options tunes the reader.
@@ -149,48 +51,29 @@ type Options struct {
 	CacheLabels int
 }
 
-// fitsCompact reports whether every stored distance fits in a byte.
-func fitsCompact(x *label.Index) bool {
-	check := func(lists [][]label.Entry) bool {
-		for _, l := range lists {
-			for _, e := range l {
-				if e.Dist > 254 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if !check(x.Out) {
-		return false
-	}
-	if x.Directed {
-		return check(x.In)
-	}
-	return true
-}
-
-// DiskIndex answers distance queries from the on-disk format.
+// DiskIndex answers distance queries from a v2 image on disk.
 type DiskIndex struct {
 	f        *os.File
 	directed bool
 	weighted bool
-	compact  bool
 	n        int32
 	perm     []int32
-	outOff   []uint64
-	inOff    []uint64
-	outBase  int64
-	inBase   int64
-	opt      Options
+	// outOff and inOff are the image's offset tables, in entries; row v
+	// of a side is entries [off[v], off[v+1]) of that side's section.
+	outOff  []int64
+	inOff   []int64
+	outBase int64
+	inBase  int64
+	opt     Options
 
 	ios   atomic.Int64
 	cache *lruCache
 }
 
-// Open maps the index at path for querying. The offset tables (8 bytes
-// per vertex per side) are loaded into memory; label entries stay on
-// disk.
+// Open opens the v2 image at path for querying. The header, perm and
+// offset tables are read and validated (8 bytes per vertex per side stay
+// resident); label entries stay on disk. A whole index only: shard,
+// compact and retired-format images are refused by name.
 func Open(path string, opt Options) (*DiskIndex, error) {
 	if opt.BlockBytes <= 0 {
 		opt.BlockBytes = 4096
@@ -199,77 +82,41 @@ func Open(path string, opt Options) (*DiskIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &DiskIndex{f: f, opt: opt}
-	if err := d.readHeader(); err != nil {
+	fi, err := f.Stat()
+	if err != nil {
 		f.Close()
 		return nil, err
+	}
+	size := fi.Size()
+	h, outOff, inOff, err := label.ParseFlatPreamble(size, func(off, n int64) ([]byte, error) {
+		b := make([]byte, n)
+		_, err := f.ReadAt(b, off)
+		return b, err
+	}, false)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	d := &DiskIndex{
+		f:        f,
+		directed: h.Directed,
+		weighted: h.Weighted,
+		n:        h.N,
+		perm:     h.Perm,
+		outOff:   outOff,
+		inOff:    inOff,
+		opt:      opt,
+	}
+	// The entry sections fill the rest of the image: out, then in.
+	d.outBase = size - 8*d.Entries()
+	d.inBase = d.outBase
+	if d.directed {
+		d.inBase += 8 * outOff[d.n]
 	}
 	if opt.CacheLabels > 0 {
 		d.cache = newLRU(opt.CacheLabels)
 	}
 	return d, nil
-}
-
-func (d *DiskIndex) readHeader() error {
-	var hdr [10]byte
-	if _, err := io.ReadFull(d.f, hdr[:]); err != nil {
-		return err
-	}
-	if string(hdr[:4]) != magic {
-		return fmt.Errorf("diskidx: bad magic %q", hdr[:4])
-	}
-	if hdr[4] != 1 {
-		return fmt.Errorf("diskidx: unsupported version %d", hdr[4])
-	}
-	flags := hdr[5]
-	d.directed = flags&1 != 0
-	d.weighted = flags&2 != 0
-	d.compact = flags&8 != 0
-	d.n = int32(binary.LittleEndian.Uint32(hdr[6:10]))
-	if d.n < 0 {
-		return fmt.Errorf("diskidx: corrupt vertex count")
-	}
-	pos := int64(10)
-	if flags&4 != 0 {
-		buf := make([]byte, 4*int64(d.n))
-		if _, err := io.ReadFull(d.f, buf); err != nil {
-			return err
-		}
-		d.perm = make([]int32, d.n)
-		for i := range d.perm {
-			d.perm[i] = int32(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-		pos += int64(len(buf))
-	}
-	readOffsets := func() ([]uint64, error) {
-		buf := make([]byte, 8*(int64(d.n)+1))
-		if _, err := io.ReadFull(d.f, buf); err != nil {
-			return nil, err
-		}
-		pos += int64(len(buf))
-		offs := make([]uint64, d.n+1)
-		for i := range offs {
-			offs[i] = binary.LittleEndian.Uint64(buf[i*8:])
-		}
-		return offs, nil
-	}
-	var err error
-	if d.outOff, err = readOffsets(); err != nil {
-		return err
-	}
-	if d.directed {
-		if d.inOff, err = readOffsets(); err != nil {
-			return err
-		}
-	} else {
-		d.inOff = d.outOff
-	}
-	d.outBase = pos
-	d.inBase = pos + int64(d.outOff[d.n])
-	if !d.directed {
-		d.inBase = d.outBase
-	}
-	return nil
 }
 
 // N returns the vertex count.
@@ -284,25 +131,15 @@ func (d *DiskIndex) Weighted() bool { return d.weighted }
 // Entries returns the total number of stored label entries. O(1): the
 // offset tables are resident.
 func (d *DiskIndex) Entries() int64 {
-	width := uint64(entryBytes)
-	if d.compact {
-		width = compactEntryBytes
-	}
-	total := d.outOff[d.n] / width
-	if d.directed {
-		total += d.inOff[d.n] / width
-	}
-	return int64(total)
-}
-
-// SizeBytes returns the on-disk size of the label entry sections.
-func (d *DiskIndex) SizeBytes() int64 {
 	total := d.outOff[d.n]
 	if d.directed {
 		total += d.inOff[d.n]
 	}
-	return int64(total)
+	return total
 }
+
+// SizeBytes returns the on-disk size of the label entry sections.
+func (d *DiskIndex) SizeBytes() int64 { return 8 * d.Entries() }
 
 // IOs returns the number of block reads performed so far.
 func (d *DiskIndex) IOs() int64 { return d.ios.Load() }
@@ -313,20 +150,21 @@ func (d *DiskIndex) ResetIOs() { d.ios.Store(0) }
 // Close releases the file handle.
 func (d *DiskIndex) Close() error { return d.f.Close() }
 
-// Scratch holds reusable read and decode buffers for repeated queries.
-// Passing the same Scratch to DistanceScratch keeps a query loop at O(1)
+// Scratch holds reusable read buffers for repeated queries. Passing the
+// same Scratch to DistanceScratch keeps a query loop at O(1)
 // steady-state allocations (when the label cache is disabled; cached
-// lists must own their memory and are always freshly allocated). A
+// rows must own their memory and are always freshly allocated). A
 // Scratch must not be shared between concurrent queries: give each worker
 // its own.
 type Scratch struct {
 	raw [2][]byte
-	dec [2][]label.Entry
+	// rows are the entry views of raw, which the next query overwrites.
+	rows [2][]label.Entry
 }
 
-// loadLabel fetches one label list from disk (or cache). slot selects
-// which scratch buffers to decode into (0 = out side, 1 = in side) so one
-// query's two lists coexist; sc == nil allocates fresh.
+// loadLabel fetches one label row from disk (or cache). slot selects
+// which scratch buffer to read into (0 = out side, 1 = in side) so one
+// query's two rows coexist; sc == nil allocates fresh.
 func (d *DiskIndex) loadLabel(out bool, v int32, sc *Scratch, slot int) ([]label.Entry, error) {
 	key := int64(v) << 1
 	if out {
@@ -337,25 +175,25 @@ func (d *DiskIndex) loadLabel(out bool, v int32, sc *Scratch, slot int) ([]label
 			return l, nil
 		}
 	}
-	offs := d.inOff
-	base := d.inBase
+	offs, base := d.inOff, d.inBase
 	if out {
-		offs = d.outOff
-		base = d.outBase
+		offs, base = d.outOff, d.outBase
 	}
-	start := base + int64(offs[v])
-	length := int64(offs[v+1] - offs[v])
+	start := base + 8*offs[v]
+	length := 8 * (offs[v+1] - offs[v])
 	if length == 0 {
 		return nil, nil
 	}
+	// A cached row outlives the call, so it never aliases the scratch.
+	own := sc == nil || d.cache != nil
 	var buf []byte
-	if sc != nil {
+	if own {
+		buf = make([]byte, length)
+	} else {
 		if int64(cap(sc.raw[slot])) < length {
 			sc.raw[slot] = make([]byte, length)
 		}
 		buf = sc.raw[slot][:length]
-	} else {
-		buf = make([]byte, length)
 	}
 	if _, err := d.f.ReadAt(buf, start); err != nil {
 		return nil, err
@@ -363,35 +201,13 @@ func (d *DiskIndex) loadLabel(out bool, v int32, sc *Scratch, slot int) ([]label
 	// Block-granular accounting: how many BlockBytes-sized blocks does
 	// the byte range [start, start+length) touch?
 	bb := int64(d.opt.BlockBytes)
-	firstBlock := start / bb
-	lastBlock := (start + length - 1) / bb
-	d.ios.Add(lastBlock - firstBlock + 1)
-
-	width := entryBytes
-	if d.compact {
-		width = compactEntryBytes
+	d.ios.Add((start+length-1)/bb - start/bb + 1)
+	if !own {
+		sc.rows[slot] = label.EntriesView(buf)
+		return sc.rows[slot], nil
 	}
-	count := int(length) / width
-	var l []label.Entry
-	if sc != nil && d.cache == nil {
-		if cap(sc.dec[slot]) < count {
-			sc.dec[slot] = make([]label.Entry, count)
-		}
-		l = sc.dec[slot][:count]
-	} else {
-		// Cached lists outlive the call, so they never alias the scratch.
-		l = make([]label.Entry, count)
-	}
-	for i := range l {
-		l[i].Pivot = int32(binary.LittleEndian.Uint32(buf[i*width:]))
-		if d.compact {
-			l[i].Dist = uint32(buf[i*width+4])
-		} else {
-			l[i].Dist = binary.LittleEndian.Uint32(buf[i*width+4:])
-		}
-	}
+	l := label.EntriesView(buf)
 	if d.cache != nil {
-		//hopdb:ignore noaliasretain when the cache is enabled l was decoded into a fresh slice above, never into scratch
 		d.cache.put(key, l)
 	}
 	return l, nil
@@ -402,9 +218,9 @@ func (d *DiskIndex) Distance(s, t int32) (uint32, error) {
 	return d.DistanceScratch(s, t, nil)
 }
 
-// DistanceScratch is Distance reusing sc's buffers for the disk reads and
-// entry decoding, so batch-serving callers avoid two allocations per
-// query. sc may be nil; it must not be shared across concurrent calls.
+// DistanceScratch is Distance reusing sc's buffers for the disk reads,
+// so batch-serving callers avoid two allocations per query. sc may be
+// nil; it must not be shared across concurrent calls.
 func (d *DiskIndex) DistanceScratch(s, t int32, sc *Scratch) (uint32, error) {
 	if s < 0 || t < 0 || s >= d.n || t >= d.n {
 		return graph.Infinity, nil

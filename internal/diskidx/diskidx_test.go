@@ -200,80 +200,6 @@ func TestEmptyIndexOnDisk(t *testing.T) {
 	}
 }
 
-// TestCompactEncoding: unweighted indexes use the paper's 5-byte entry
-// encoding; large weighted distances fall back to the wide encoding.
-// Both must answer identically.
-func TestCompactEncoding(t *testing.T) {
-	g, err := gen.GLP(gen.DefaultGLP(400, 4, 77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _, err := core.Build(g, core.Options{Method: core.Hybrid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	pathCompact := filepath.Join(dir, "compact")
-	if err := Write(pathCompact, x); err != nil {
-		t.Fatal(err)
-	}
-	infoCompact, err := os.Stat(pathCompact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expected size: header + offsets + 5 bytes/entry (+ perm).
-	wantEntries := x.Entries() * 5
-	if infoCompact.Size() < wantEntries || infoCompact.Size() > wantEntries+8*int64(g.N()+1)+4*int64(g.N())+16 {
-		t.Errorf("compact file size %d not in expected range around %d", infoCompact.Size(), wantEntries)
-	}
-	d, err := Open(pathCompact, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	for s := int32(0); s < g.N(); s += 17 {
-		for u := int32(0); u < g.N(); u += 23 {
-			got, err := d.Distance(s, u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := x.Distance(s, u); got != want {
-				t.Fatalf("compact dist(%d,%d) = %d, want %d", s, u, got, want)
-			}
-		}
-	}
-
-	// Heavy weights exceed one byte: wide fallback.
-	wg, err := gen.WithRandomWeights(g, 1000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wx, _, err := core.Build(wg, core.Options{Method: core.Hybrid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pathWide := filepath.Join(dir, "wide")
-	if err := Write(pathWide, wx); err != nil {
-		t.Fatal(err)
-	}
-	wd, err := Open(pathWide, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wd.Close()
-	for s := int32(0); s < wg.N(); s += 31 {
-		for u := int32(0); u < wg.N(); u += 29 {
-			got, err := wd.Distance(s, u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := wx.Distance(s, u); got != want {
-				t.Fatalf("wide dist(%d,%d) = %d, want %d", s, u, got, want)
-			}
-		}
-	}
-}
-
 // TestScratchQueriesMatch checks the scratch-buffer path answers exactly
 // what the allocating path answers, with and without the label cache, and
 // that a scratch query loop stops allocating once the buffers are warm.
@@ -383,11 +309,7 @@ func TestDiskStatAccessors(t *testing.T) {
 	if d.Entries() != x.Entries() {
 		t.Errorf("Entries() = %d, want %d", d.Entries(), x.Entries())
 	}
-	width := int64(entryBytes)
-	if d.compact {
-		width = compactEntryBytes
-	}
-	if d.SizeBytes() != x.Entries()*width {
-		t.Errorf("SizeBytes() = %d, want %d", d.SizeBytes(), x.Entries()*width)
+	if d.SizeBytes() != x.Entries()*8 {
+		t.Errorf("SizeBytes() = %d, want %d", d.SizeBytes(), x.Entries()*8)
 	}
 }

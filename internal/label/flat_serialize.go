@@ -206,8 +206,8 @@ func EntriesView(b []byte) []Entry { return castEntries(b) }
 // unmodified for as long as the index is used. When buf is a read-only
 // mapping (MmapFlat) the index therefore serves from the page cache with
 // O(1) heap. A section that is misaligned in buf, or any section on a
-// big-endian host, is decoded into a fresh slice instead. The header,
-// the offset tables and every label are validated, so a corrupt image
+// big-endian host, is decoded into a fresh slice instead. The preamble
+// (ParseFlatPreamble) and every label are validated, so a corrupt image
 // fails here rather than faulting at query time. A range (shard) image
 // is refused: its unowned rows are empty and would answer Infinity.
 func ParseFlat(buf []byte) (*FlatIndex, error) {
@@ -225,36 +225,95 @@ func ParseFlatRange(buf []byte) (*FlatIndex, RankRange, error) {
 
 func parseFlat(buf []byte, wantRange bool) (*FlatIndex, RankRange, error) {
 	var rr RankRange
-	fail := func(format string, args ...any) (*FlatIndex, RankRange, error) {
-		return nil, rr, fmt.Errorf(format, args...)
+	size := int64(len(buf))
+	h, outOffsets, inOffsets, err := ParseFlatPreamble(size, func(off, n int64) ([]byte, error) {
+		return buf[off : off+n : off+n], nil
+	}, wantRange)
+	if err != nil {
+		return nil, rr, err
 	}
-	if len(buf) < flatHeaderSize {
-		return fail("label: flat image truncated (%d bytes)", len(buf))
+	if h.Range != nil {
+		rr = *h.Range
 	}
-	if string(buf[:4]) != flatMagic {
-		if IsCompactImage(buf) {
+	f := &FlatIndex{
+		Directed:   h.Directed,
+		Weighted:   h.Weighted,
+		N:          h.N,
+		Perm:       h.Perm,
+		OutOffsets: outOffsets,
+		InOffsets:  inOffsets,
+	}
+	// The entry sections fill the rest of the image: out, then in.
+	outEnd := size
+	if f.Directed {
+		outEnd -= 8 * inOffsets[f.N]
+		f.InEntries = castEntries(buf[outEnd:])
+	}
+	f.OutEntries = castEntries(buf[outEnd-8*outOffsets[f.N] : outEnd])
+	if !f.Directed {
+		f.InEntries = f.OutEntries
+	}
+	// Full label validation (pivot ordering and outranking): a
+	// corrupt-but-well-framed file must fail here with a
+	// clear error, not crash or mis-answer consumers that trust the
+	// invariants (the merge fast path, the bit-parallel transform). One
+	// sequential allocation-free scan of the payload.
+	if err := f.Validate(); err != nil {
+		return nil, rr, err
+	}
+	return f, rr, nil
+}
+
+// ParseFlatPreamble is WriteFlatPreamble's reader twin: it parses and
+// validates a v2 image's header, perm table and offset tables, and
+// checks that the entry sections exactly fill the rest of the image, so
+// the out entries start at size - 8*(outCount+inCount). size is the
+// whole image's length and read returns its bytes [off, off+n). Every
+// range is checked against size before it is read, header first, so a
+// reader over an untrusted file allocates nothing the file cannot hold.
+// The returned tables alias what read returned; inOffsets is outOffsets
+// when the index is undirected. wantRange selects range (shard) images
+// over whole ones; the other kind is refused by name, as are the HDX3,
+// v1, HSH1 and HDDX formats. Heap (ParseFlat), mmap (MmapFlat), shard
+// (ParseFlatRange) and disk-resident opens all validate through here.
+func ParseFlatPreamble(size int64, read func(off, n int64) ([]byte, error), wantRange bool) (h FlatHeader, outOffsets, inOffsets []int64, err error) {
+	fail := func(format string, args ...any) (FlatHeader, []int64, []int64, error) {
+		return FlatHeader{}, nil, nil, fmt.Errorf(format, args...)
+	}
+	if size < flatHeaderSize {
+		return fail("label: flat image truncated (%d bytes)", size)
+	}
+	hdr, err := read(0, flatHeaderSize)
+	if err != nil {
+		return fail("label: reading flat header: %w", err)
+	}
+	if string(hdr[:4]) != flatMagic {
+		if IsCompactImage(hdr) {
 			// The delta-coded v3 format must be decoded, never aliased,
-			// so it cannot serve the zero-copy/mmap path.
-			return fail("label: %q is a compact (HDX3) image; decode it with ParseCompact (mmap is unavailable for compact files)", buf[:4])
+			// so it cannot serve the zero-copy, mmap or disk paths.
+			return fail("label: %q is a compact (HDX3) image; decode it with ParseCompact (mmap and disk serving need the v2 image)", hdr[:4])
 		}
-		switch string(buf[:4]) {
+		switch string(hdr[:4]) {
 		case "HDIX":
 			// The first release's per-vertex stream; its reader is gone.
-			return fail("label: %q is a v1 index; v1 index files are no longer readable; rebuild with hopdb-build", buf[:4])
+			return fail("label: %q is a v1 index; v1 index files are no longer readable; rebuild with hopdb-build", hdr[:4])
 		case "HSH1":
 			// The first shard format; shards are range images now.
-			return fail("label: %q is an old shard file; HSH1 shard files are no longer readable; rebuild with hopdb-build -shards", buf[:4])
+			return fail("label: %q is an old shard file; HSH1 shard files are no longer readable; rebuild with hopdb-build -shards", hdr[:4])
+		case "HDDX":
+			// The retired disk-query format; disk opens serve v2 images.
+			return fail("label: %q is an old disk index; HDDX files are no longer readable; serve the index hopdb-build -o writes", hdr[:4])
 		}
-		return fail("label: bad flat magic %q", buf[:4])
+		return fail("label: bad flat magic %q", hdr[:4])
 	}
-	if buf[4] != flatVersion {
-		return fail("label: unsupported flat version %d", buf[4])
+	if hdr[4] != flatVersion {
+		return fail("label: unsupported flat version %d", hdr[4])
 	}
-	flags := buf[5]
+	flags := hdr[5]
 	if flags&^byte(knownFlags|flagRange|flagHub) != 0 {
 		return fail("label: unknown flat flags %#x", flags)
 	}
-	if binary.LittleEndian.Uint16(buf[6:8]) != 0 || binary.LittleEndian.Uint32(buf[12:16]) != 0 {
+	if binary.LittleEndian.Uint16(hdr[6:8]) != 0 || binary.LittleEndian.Uint32(hdr[12:16]) != 0 {
 		return fail("label: nonzero reserved flat header bytes")
 	}
 	isRange := flags&flagRange != 0
@@ -267,29 +326,32 @@ func parseFlat(buf []byte, wantRange bool) (*FlatIndex, RankRange, error) {
 	if flags&flagHub != 0 && !isRange {
 		return fail("label: hub flag on a whole-index image")
 	}
-	n := int64(binary.LittleEndian.Uint32(buf[8:12]))
-	f := &FlatIndex{
+	n := int64(binary.LittleEndian.Uint32(hdr[8:12]))
+	h = FlatHeader{
+		N:        int32(n),
 		Directed: flags&flagDirected != 0,
 		Weighted: flags&flagWeighted != 0,
-		N:        int32(n),
 	}
-	if int64(f.N) != n {
+	if int64(h.N) != n {
 		return fail("label: corrupt vertex count %d", n)
 	}
-	size := int64(len(buf))
 	pos := int64(flatHeaderSize)
 	if isRange {
 		if size < pos+rangeExtSize {
 			return fail("label: flat image truncated in rank range")
 		}
-		lo := int64(binary.LittleEndian.Uint32(buf[pos:]))
-		hi := int64(binary.LittleEndian.Uint32(buf[pos+4:]))
+		ext, err := read(pos, rangeExtSize)
+		if err != nil {
+			return fail("label: reading rank range: %w", err)
+		}
+		lo := int64(binary.LittleEndian.Uint32(ext))
+		hi := int64(binary.LittleEndian.Uint32(ext[4:]))
 		pos += rangeExtSize
 		if lo > hi || hi > n {
 			return fail("label: rank range [%d,%d) outside [0,%d)", lo, hi, n)
 		}
-		rr = RankRange{Lo: int32(lo), Hi: int32(hi), Hub: flags&flagHub != 0}
-		if rr.Hub && rr.Lo != 0 {
+		h.Range = &RankRange{Lo: int32(lo), Hi: int32(hi), Hub: flags&flagHub != 0}
+		if h.Range.Hub && lo != 0 {
 			return fail("label: hub range must start at rank 0, got %d", lo)
 		}
 	}
@@ -298,14 +360,18 @@ func parseFlat(buf []byte, wantRange bool) (*FlatIndex, RankRange, error) {
 		if pos+permBytes > size {
 			return fail("label: flat image truncated in perm table")
 		}
-		f.Perm = castInt32s(buf[pos : pos+permBytes])
+		raw, err := read(pos, permBytes)
+		if err != nil {
+			return fail("label: reading perm table: %w", err)
+		}
+		h.Perm = castInt32s(raw)
 		pos += permBytes
 		pos = (pos + 7) &^ 7
 		// Bijectivity check with a transient bitset; Inv itself is only
 		// needed by View() and is computed there on demand, keeping the
 		// load O(1)-allocation in the index size.
 		seen := make([]uint64, (n+63)/64)
-		for v, r := range f.Perm {
+		for v, r := range h.Perm {
 			if int64(r) < 0 || int64(r) >= n || seen[r>>6]&(1<<(uint(r)&63)) != 0 {
 				return fail("label: perm is not a permutation at vertex %d", v)
 			}
@@ -317,7 +383,11 @@ func parseFlat(buf []byte, wantRange bool) (*FlatIndex, RankRange, error) {
 		if pos+offBytes > size {
 			return nil, fmt.Errorf("label: flat image truncated in %s offsets", name)
 		}
-		offsets := castInt64s(buf[pos : pos+offBytes])
+		raw, err := read(pos, offBytes)
+		if err != nil {
+			return nil, fmt.Errorf("label: reading %s offsets: %w", name, err)
+		}
+		offsets := castInt64s(raw)
 		pos += offBytes
 		if offsets[0] != 0 {
 			return nil, fmt.Errorf("label: %s offsets do not start at 0", name)
@@ -337,47 +407,26 @@ func parseFlat(buf []byte, wantRange bool) (*FlatIndex, RankRange, error) {
 		}
 		// Offsets are monotone from 0, so these two pins empty every
 		// row outside the owned range.
-		if isRange && (offsets[rr.Lo] != 0 || offsets[rr.Hi] != prev) {
-			return nil, fmt.Errorf("label: %s has rows outside the owned range [%d,%d)", name, rr.Lo, rr.Hi)
+		if r := h.Range; r != nil && (offsets[r.Lo] != 0 || offsets[r.Hi] != prev) {
+			return nil, fmt.Errorf("label: %s has rows outside the owned range [%d,%d)", name, r.Lo, r.Hi)
 		}
 		return offsets, nil
 	}
-	var err error
-	if f.OutOffsets, err = readSide("Lout"); err != nil {
-		return nil, rr, err
+	if outOffsets, err = readSide("Lout"); err != nil {
+		return FlatHeader{}, nil, nil, err
 	}
-	if f.Directed {
-		if f.InOffsets, err = readSide("Lin"); err != nil {
-			return nil, rr, err
+	inOffsets = outOffsets
+	entries := outOffsets[n]
+	if h.Directed {
+		if inOffsets, err = readSide("Lin"); err != nil {
+			return FlatHeader{}, nil, nil, err
 		}
-	} else {
-		f.InOffsets = f.OutOffsets
+		entries += inOffsets[n]
 	}
-	outCount := f.OutOffsets[n]
-	inCount := int64(0)
-	if f.Directed {
-		inCount = f.InOffsets[n]
+	if size-pos != 8*entries {
+		return fail("label: flat image size mismatch: %d entry bytes for %d entries", size-pos, entries)
 	}
-	if size-pos != 8*(outCount+inCount) {
-		return fail("label: flat image size mismatch: %d entry bytes for %d entries",
-			size-pos, outCount+inCount)
-	}
-	f.OutEntries = castEntries(buf[pos : pos+8*outCount])
-	pos += 8 * outCount
-	if f.Directed {
-		f.InEntries = castEntries(buf[pos : pos+8*inCount])
-	} else {
-		f.InEntries = f.OutEntries
-	}
-	// Full label validation (pivot ordering and outranking): a
-	// corrupt-but-well-framed file must fail here with a
-	// clear error, not crash or mis-answer consumers that trust the
-	// invariants (the merge fast path, the bit-parallel transform). One
-	// sequential allocation-free scan of the payload.
-	if err := f.Validate(); err != nil {
-		return nil, rr, err
-	}
-	return f, rr, nil
+	return h, outOffsets, inOffsets, nil
 }
 
 // LoadFlatFile reads a v2 flat index into one file-sized heap buffer and

@@ -1,7 +1,7 @@
 // Package server implements the hopdb query service: a multi-tenant
 // HTTP front end that answers point-to-point distance queries from any
 // number of named datasets, each backed by any hopdb.Querier — a heap
-// or memory-mapped index, the block-addressable disk format, or even
+// or memory-mapped index, the same file served from disk, or even
 // another server through the remote client — behind one versioned API
 // (see cmd/hopdb-serve).
 //

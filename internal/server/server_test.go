@@ -504,8 +504,8 @@ func TestStatsBackendAndCacheOmission(t *testing.T) {
 // cannot reconstruct paths).
 func TestDiskBackendServing(t *testing.T) {
 	idx := testIndex(t)
-	file := filepath.Join(t.TempDir(), "g.didx")
-	if err := idx.SaveDiskIndex(file); err != nil {
+	file := filepath.Join(t.TempDir(), "g.idx")
+	if err := idx.Save(file); err != nil {
 		t.Fatal(err)
 	}
 	dq, err := hopdb.Open(file, hopdb.WithDisk(hopdb.DiskOptions{CacheLabels: 8}))

@@ -45,8 +45,8 @@ const (
 	BackendHeap Backend = "heap"
 	// BackendMmap serves from a memory-mapped index file.
 	BackendMmap Backend = "mmap"
-	// BackendDisk serves from the block-addressable on-disk format,
-	// reading only the label blocks each query needs.
+	// BackendDisk serves an index file from disk, reading only the two
+	// label rows each query needs.
 	BackendDisk Backend = "disk"
 	// BackendRemote forwards queries to a hopdb-serve instance over HTTP.
 	BackendRemote Backend = "remote"
@@ -321,13 +321,13 @@ func ValidateDatasetName(name string) error {
 // -dataset flag. Exactly one of Path or Remote must be set; the booleans
 // mirror the hopdb.Open options.
 type DatasetSpec struct {
-	// Path is the index file (.idx, or .didx with Disk).
+	// Path is the index file hopdb-build -o writes.
 	Path string `json:"path,omitempty"`
 	// Remote proxies the dataset to another hopdb-serve base URL.
 	Remote string `json:"remote,omitempty"`
 	// Mmap memory-maps the index instead of reading it into heap.
 	Mmap bool `json:"mmap,omitempty"`
-	// Disk opens the block-addressable disk-query format.
+	// Disk serves the index from disk, its labels never loaded.
 	Disk bool `json:"disk,omitempty"`
 	// DiskCache is the label-block cache size for Disk backends.
 	DiskCache int `json:"disk_cache,omitempty"`

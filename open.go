@@ -40,9 +40,10 @@ func WithMmap() OpenOption {
 	return func(c *openConfig) { c.mmap = true }
 }
 
-// WithDisk opens the block-addressable disk-query format written by
-// Index.SaveDiskIndex (hopdb-build -disk): labels stay on disk and each
-// query reads only the two blocks it needs. The backend kind is
+// WithDisk serves the v2 index file that Index.Save (hopdb-build -o)
+// writes straight from disk: the perm and offset tables are read and
+// validated at open, the labels stay on disk, and each query reads only
+// the two label rows it needs. The backend kind is
 // BackendDisk. Disk backends answer distances only; combining WithDisk
 // with WithGraph or WithBitParallel is an error.
 func WithDisk(opt DiskOptions) OpenOption {
@@ -125,11 +126,12 @@ func WithUpdates(opt UpdateOptions) OpenOption {
 //
 //	q, err := hopdb.Open("graph.idx")                          // heap
 //	q, err := hopdb.Open("graph.idx", hopdb.WithMmap())        // mmap, served in place
-//	q, err := hopdb.Open("graph.didx", hopdb.WithDisk(hopdb.DiskOptions{}))
+//	q, err := hopdb.Open("graph.idx", hopdb.WithDisk(hopdb.DiskOptions{}))
 //	q, err := hopdb.Open("", hopdb.WithRemote("http://host:8080"))
 //
 // All backends answer identical distances through the Querier contract;
-// they differ only in where the labels live. Close the returned Querier
+// they differ only in where the labels live. Heap, mmap and disk opens
+// read the same v2 file (a heap open also decodes a v3 compact one). Close the returned Querier
 // when done.
 func Open(path string, opts ...OpenOption) (Querier, error) {
 	var cfg openConfig

@@ -15,8 +15,8 @@ const (
 	// BackendMmap serves from a memory-mapped index file (Open with
 	// WithMmap).
 	BackendMmap = wire.BackendMmap
-	// BackendDisk serves from the block-addressable on-disk format (Open
-	// with WithDisk), reading only the label blocks each query needs.
+	// BackendDisk serves an index file from disk (Open with WithDisk),
+	// reading only the two label rows each query needs.
 	BackendDisk = wire.BackendDisk
 	// BackendRemote forwards queries to a hopdb-serve instance over HTTP
 	// (Open with WithRemote).

@@ -8,9 +8,12 @@ package hopdb_test
 // answers and identical Infinity/ok semantics everywhere.
 
 import (
+	"encoding/binary"
 	"errors"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,12 +116,8 @@ func openBackends(t *testing.T, g *hopdb.Graph, gc confGraph) []confBackend {
 	}
 	dir := t.TempDir()
 	idxPath := filepath.Join(dir, "conf.idx")
-	diskPath := filepath.Join(dir, "conf.didx")
 	compactPath := filepath.Join(dir, "conf.cidx")
 	if err := idx.Save(idxPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.SaveDiskIndex(diskPath); err != nil {
 		t.Fatal(err)
 	}
 	if err := idx.SaveCompact(compactPath); err != nil {
@@ -155,7 +154,7 @@ func openBackends(t *testing.T, g *hopdb.Graph, gc confGraph) []confBackend {
 		open("mmap", hopdb.BackendMmap, hopdb.KernelScalar, idxPath, hopdb.WithMmap()),
 		mmapCompact,
 		open("compact-file", hopdb.BackendHeap, hopdb.KernelCompact, compactPath),
-		open("disk", hopdb.BackendDisk, hopdb.KernelScalar, diskPath, hopdb.WithDisk(hopdb.DiskOptions{CacheLabels: 16})),
+		open("disk", hopdb.BackendDisk, hopdb.KernelScalar, idxPath, hopdb.WithDisk(hopdb.DiskOptions{CacheLabels: 16})),
 		open("remote", hopdb.BackendRemote, hopdb.KernelCompact, "", hopdb.WithRemote(ts.URL)),
 		open("remote-dataset", hopdb.BackendRemote, hopdb.KernelCompact, "", hopdb.WithRemote(ts.URL), hopdb.WithDataset("conf")),
 	}
@@ -545,11 +544,7 @@ func TestOpenOptionValidation(t *testing.T) {
 	}
 	dir := t.TempDir()
 	idxPath := filepath.Join(dir, "v.idx")
-	diskPath := filepath.Join(dir, "v.didx")
 	if err := idx.Save(idxPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.SaveDiskIndex(diskPath); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -557,8 +552,8 @@ func TestOpenOptionValidation(t *testing.T) {
 		path string
 		opts []hopdb.OpenOption
 	}{
-		{"disk+mmap", diskPath, []hopdb.OpenOption{hopdb.WithDisk(hopdb.DiskOptions{}), hopdb.WithMmap()}},
-		{"disk+graph", diskPath, []hopdb.OpenOption{hopdb.WithDisk(hopdb.DiskOptions{}), hopdb.WithGraph(g)}},
+		{"disk+mmap", idxPath, []hopdb.OpenOption{hopdb.WithDisk(hopdb.DiskOptions{}), hopdb.WithMmap()}},
+		{"disk+graph", idxPath, []hopdb.OpenOption{hopdb.WithDisk(hopdb.DiskOptions{}), hopdb.WithGraph(g)}},
 		{"bitparallel without graph", idxPath, []hopdb.OpenOption{hopdb.WithBitParallel(8)}},
 		{"missing file", filepath.Join(dir, "nope.idx"), nil},
 	}
@@ -581,5 +576,65 @@ func TestOpenOptionValidation(t *testing.T) {
 	path, err := p.Path(0, 3)
 	if err != nil || len(path) != 4 {
 		t.Fatalf("Path(0,3) = %v, %v", path, err)
+	}
+}
+
+// TestOpenDiskRefusesBadImages feeds WithDisk files it must refuse at
+// open, never at the first query: the retired HDDX format, corrupt v2
+// images, and the v2 shapes a whole-index open does not serve.
+func TestOpenDiskRefusesBadImages(t *testing.T) {
+	// v2 builds a v2 preamble: header, optional range and perm, then
+	// the out offsets.
+	v2 := func(flags byte, n uint32, ext []uint32, offsets ...uint64) []byte {
+		b := []byte{'H', 'D', 'X', '2', 2, flags, 0, 0}
+		b = binary.LittleEndian.AppendUint32(b, n)
+		b = binary.LittleEndian.AppendUint32(b, 0)
+		for _, x := range ext {
+			b = binary.LittleEndian.AppendUint32(b, x)
+		}
+		for _, o := range offsets {
+			b = binary.LittleEndian.AppendUint64(b, o)
+		}
+		return b
+	}
+	hddx := append([]byte{'H', 'D', 'D', 'X', 1, 0, 2, 0, 0, 0}, make([]byte, 40)...)
+	binary.LittleEndian.PutUint64(hddx[18:], 1<<40) // offsets decrease
+	g := confGraphs()[0].build(t)
+	idx, _, err := hopdb.Build(g, hopdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	compactPath := filepath.Join(dir, "g.cidx")
+	if err := idx.SaveCompact(compactPath); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, path string
+		image      []byte
+		want       string // in the error
+	}{
+		{"hddx", "", hddx, "HDDX files are no longer readable"},
+		{"decreasing-offsets", "", append(v2(0, 2, nil, 0, 5, 1), make([]byte, 8)...), "offsets decrease"},
+		{"perm-not-a-bijection", "", v2(4, 2, []uint32{0, 0}, 0, 0, 0), "not a permutation"},
+		{"n-beyond-file", "", v2(0, 1<<31-1, nil), "truncated"},
+		{"shard-range-image", "", v2(8, 2, []uint32{0, 2}, 0, 0, 0), "shard (rank-range) image"},
+		{"compact-image", compactPath, nil, "compact (HDX3) image"},
+	}
+	for _, c := range cases {
+		if c.path == "" {
+			c.path = filepath.Join(dir, c.name)
+			if err := os.WriteFile(c.path, c.image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q, err := hopdb.Open(c.path, hopdb.WithDisk(hopdb.DiskOptions{}))
+		if err == nil {
+			q.Distance(0, 1)
+			q.Close()
+			t.Errorf("%s: WithDisk opened it", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not say %q", c.name, err, c.want)
+		}
 	}
 }

@@ -52,7 +52,7 @@ go build -o "$tmp/bin/" ./cmd/...
 
 echo "== generating and indexing a synthetic graph"
 "$tmp/bin/hopdb-gen" -model glp -n 500 -density 4 -seed 7 -o "$tmp/g.txt"
-"$tmp/bin/hopdb-build" -in "$tmp/g.txt" -o "$tmp/g.idx" -disk "$tmp/g.didx"
+"$tmp/bin/hopdb-build" -in "$tmp/g.txt" -o "$tmp/g.idx"
 
 echo "== parallel build matches the serial build byte-for-byte, and does the same work"
 "$tmp/bin/hopdb-gen" -model glp -n 20000 -density 4 -seed 23 -o "$tmp/big.txt"
@@ -152,8 +152,8 @@ kill -TERM "$pid"
 wait "$pid"
 pid=""
 
-echo "== serving the same graph straight from disk (-disk)"
-"$tmp/bin/hopdb-serve" -disk "$tmp/g.didx" -disk-cache 512 -addr "127.0.0.1:$PORT" &
+echo "== serving the same index file straight from disk (-disk)"
+"$tmp/bin/hopdb-serve" -disk "$tmp/g.idx" -disk-cache 512 -addr "127.0.0.1:$PORT" &
 pid=$!
 wait_healthy
 curl -fsS "$BASE/v1/stats" | grep -q '"backend":"disk"' || { echo "disk /v1/stats missing backend kind" >&2; exit 1; }
@@ -203,7 +203,7 @@ esac
 
 echo "== hot-attaching a third dataset while serving"
 code=$(curl -s -o "$tmp/attach.json" -w '%{http_code}' -X POST -H "Authorization: Bearer t-ops" \
-  --data-binary "{\"path\":\"$tmp/g.didx\",\"disk\":true}" "$BASE/v1/admin/datasets/archive")
+  --data-binary "{\"path\":\"$tmp/g.idx\",\"disk\":true}" "$BASE/v1/admin/datasets/archive")
 [ "$code" = "200" ] || { echo "hot attach returned $code: $(cat "$tmp/attach.json")" >&2; exit 1; }
 curl -fsS -H "Authorization: Bearer t-ops" "$BASE/v1/archive/distance?s=3&t=9" >"$tmp/mt_archive.json"
 diff -u "$tmp/versioned.json" "$tmp/mt_archive.json" || { echo "hot-attached dataset diverges" >&2; exit 1; }
