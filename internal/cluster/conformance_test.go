@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -173,6 +175,49 @@ func TestTiersAnswerAlike(t *testing.T) {
 		for tier, base := range map[string]string{"replicated": replicated.URL, "sharded": sharded.URL} {
 			if got := send(base, q); got != want {
 				t.Errorf("%s: %s router answered %+v, server %+v", q.name, tier, got, want)
+			}
+		}
+	}
+}
+
+// TestHandlersLeaveCallerRequestAlone serves requests with and without
+// a request id through a server, a replicated router and a sharded
+// router in process, and demands that each answers with an id but
+// leaves the caller's request headers exactly as they were: net/http's
+// Handler contract forbids modifying the request.
+func TestHandlersLeaveCallerRequestAlone(t *testing.T) {
+	f, idx := buildShardFleet(t, 3)
+	sharded, _ := newShardedRouter(t, f, RouterConfig{})
+	replicated, _ := newTestRouter(t, []string{startReplica(t, idx, server.Config{Workers: 2}).URL}, RouterConfig{})
+	tiers := map[string]http.Handler{
+		"server":     server.New(idx, server.Config{Workers: 2}).Handler(),
+		"replicated": replicated.Handler(),
+		"sharded":    sharded.Handler(),
+	}
+	waitFor(t, "replica healthy", func() bool { return replicated.pool.Healthy() > 0 })
+	for tier, h := range tiers {
+		for _, id := range []string{"", "trace-7"} {
+			for _, method := range []string{http.MethodGet, http.MethodPost} {
+				req := httptest.NewRequest(http.MethodGet, "/v1/distance?s=0&t=7", nil)
+				if method == http.MethodPost {
+					req = httptest.NewRequest(method, "/v1/batch", strings.NewReader("[[0,7]]"))
+					req.Header.Set("Content-Type", "application/json")
+				}
+				if id != "" {
+					req.Header.Set(wire.HeaderRequestID, id)
+				}
+				before := req.Header.Clone()
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Errorf("%s %s id=%q: status %d %s", tier, method, id, rec.Code, rec.Body)
+				}
+				if got := rec.Header().Get(wire.HeaderRequestID); got == "" || (id != "" && got != id) {
+					t.Errorf("%s %s id=%q: response id %q", tier, method, id, got)
+				}
+				if !reflect.DeepEqual(req.Header, before) {
+					t.Errorf("%s %s id=%q: caller's headers changed from %v to %v", tier, method, id, before, req.Header)
+				}
 			}
 		}
 	}

@@ -140,7 +140,7 @@ func TestRequestIDFlowsThroughTiers(t *testing.T) {
 	srv := server.NewRegistry(reg, server.Config{})
 	replica := httptest.NewServer(srv.Handler())
 	t.Cleanup(replica.Close)
-	rt, ts := newTestRouter(t, []string{replica.URL}, RouterConfig{})
+	rt, ts := newTestRouter(t, []string{replica.URL}, RouterConfig{Primary: replica.URL})
 	waitFor(t, "replica healthy", func() bool {
 		resp, err := http.Get(ts.URL + "/v1/healthz")
 		if err != nil {
@@ -177,6 +177,40 @@ func TestRequestIDFlowsThroughTiers(t *testing.T) {
 	if !found {
 		t.Fatalf("request id %q from the router log missing in the replica log: %+v",
 			id, srv.AccessLog().Entries())
+	}
+
+	// A request without an id gets one minted at the router, which
+	// relays it: the replica logs the id the router answered with.
+	resp, err := http.Get(ts.URL + "/v1/distance?s=0&t=9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	minted := resp.Header.Get(wire.HeaderRequestID)
+	if minted == "" || minted == id {
+		t.Fatalf("router answered id %q, want a fresh one", minted)
+	}
+	found = false
+	for _, e := range srv.AccessLog().Entries() {
+		found = found || (e.Query == "s=0&t=9" && e.ID == minted)
+	}
+	if !found {
+		t.Fatalf("router-minted id %q missing in the replica log: %+v", minted, srv.AccessLog().Entries())
+	}
+
+	// So does an admin request the router proxies to the primary.
+	resp, err = http.Get(ts.URL + "/v1/admin/replication/log?since=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	minted = resp.Header.Get(wire.HeaderRequestID)
+	found = false
+	for _, e := range srv.AccessLog().Entries() {
+		found = found || (e.Path == "/v1/admin/replication/log" && e.ID == minted)
+	}
+	if minted == "" || !found {
+		t.Fatalf("proxied admin request: router id %q missing in the primary log: %+v", minted, srv.AccessLog().Entries())
 	}
 }
 

@@ -138,7 +138,18 @@ func NewRouter(pool *Pool, cfg RouterConfig) (*Router, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("cluster: invalid primary URL %q", cfg.Primary)
 		}
-		rt.proxy = httputil.NewSingleHostReverseProxy(u)
+		proxy := httputil.NewSingleHostReverseProxy(u)
+		direct := proxy.Director
+		proxy.Director = func(out *http.Request) {
+			direct(out)
+			// The outgoing request is a clone carrying the client's
+			// headers; the id this tier kept or minted lives in the
+			// context, so the primary logs the same one.
+			if id := httpmw.RequestIDFromContext(out.Context()); id != "" {
+				out.Header[wire.HeaderRequestID] = []string{id}
+			}
+		}
+		rt.proxy = proxy
 	}
 	rt.accessLog = httpmw.NewRingLog(cfg.AccessLogSize)
 	logf := cfg.Logf
@@ -166,11 +177,7 @@ func NewRouter(pool *Pool, cfg RouterConfig) (*Router, error) {
 	}
 	mux.HandleFunc("/v1/admin/datasets", rt.handleAdmin)
 	mux.HandleFunc("/v1/admin/datasets/{name}", rt.handleAdmin)
-	rt.handler = httpmw.Chain(mux,
-		httpmw.RequestID,
-		httpmw.AccessLog(rt.accessLog, nil),
-		httpmw.Recover(logf),
-	)
+	rt.handler = httpmw.Wrap(mux, httpmw.Options{Log: rt.accessLog, Logf: logf})
 	return rt, nil
 }
 
@@ -200,16 +207,19 @@ func upstreamPath(dataset, suffix string) string {
 	return "/v1/" + dataset + suffix
 }
 
-// forwardHeaders collects the client headers the router relays to
-// replicas: the bearer token (replicas run their own auth), the request
-// id (so one id appears in every tier's access log), and the
-// read-your-writes demand.
+// forwardHeaders collects the headers the router relays to replicas:
+// the client's bearer token (replicas run their own auth) and
+// read-your-writes demand, and the request id this tier kept or minted
+// (so one id appears in every tier's access log).
 func forwardHeaders(r *http.Request) http.Header {
 	fwd := http.Header{}
-	for _, k := range []string{"Authorization", wire.HeaderRequestID, wire.HeaderMinSeq} {
+	for _, k := range []string{"Authorization", wire.HeaderMinSeq} {
 		if v := r.Header.Get(k); v != "" {
 			fwd.Set(k, v)
 		}
+	}
+	if id := httpmw.RequestIDFromContext(r.Context()); id != "" {
+		fwd[wire.HeaderRequestID] = []string{id}
 	}
 	return fwd
 }

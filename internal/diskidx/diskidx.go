@@ -164,7 +164,10 @@ type Scratch struct {
 
 // loadLabel fetches one label row from disk (or cache). slot selects
 // which scratch buffer to read into (0 = out side, 1 = in side) so one
-// query's two rows coexist; sc == nil allocates fresh.
+// query's two rows coexist; sc == nil allocates fresh. Every row read
+// from disk passes label.CheckRow before it is used or cached: the open
+// validated only the preamble and offsets, so a damaged entry is an
+// error naming its side and owner, never a wrong answer.
 func (d *DiskIndex) loadLabel(out bool, v int32, sc *Scratch, slot int) ([]label.Entry, error) {
 	key := int64(v) << 1
 	if out {
@@ -202,11 +205,18 @@ func (d *DiskIndex) loadLabel(out bool, v int32, sc *Scratch, slot int) ([]label
 	// the byte range [start, start+length) touch?
 	bb := int64(d.opt.BlockBytes)
 	d.ios.Add((start+length-1)/bb - start/bb + 1)
-	if !own {
-		sc.rows[slot] = label.EntriesView(buf)
-		return sc.rows[slot], nil
-	}
 	l := label.EntriesView(buf)
+	side := "Lin"
+	if out {
+		side = "Lout"
+	}
+	if err := label.CheckRow(side, v, l); err != nil {
+		return nil, err
+	}
+	if !own {
+		sc.rows[slot] = l
+		return l, nil
+	}
 	if d.cache != nil {
 		d.cache.put(key, l)
 	}

@@ -3,6 +3,7 @@ package diskidx
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -311,5 +312,52 @@ func TestDiskStatAccessors(t *testing.T) {
 	}
 	if d.SizeBytes() != x.Entries()*8 {
 		t.Errorf("SizeBytes() = %d, want %d", d.SizeBytes(), x.Entries()*8)
+	}
+}
+
+// TestDiskRejectsCorruptRow damages one label entry of an otherwise
+// intact image, leaving its framing alone, so Open accepts the file.
+// Every query reading the damaged row must fail naming the row, with
+// and without the label cache, and every other answer must stay the
+// intact index's.
+func TestDiskRejectsCorruptRow(t *testing.T) {
+	path, g := buildAndWrite(t, false, false, 3)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(b[len(b)-8:]) // the last entry becomes pivot 0 at distance 0
+	bad := filepath.Join(t.TempDir(), "bad")
+	if err := os.WriteFile(bad, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	truth := sp.AllPairs(g)
+	for _, cache := range []int{0, 64} {
+		d, err := Open(bad, Options{CacheLabels: cache})
+		if err != nil {
+			t.Fatalf("cache %d: open refused an image with intact framing: %v", cache, err)
+		}
+		var failed int
+		for round := 0; round < 2; round++ { // the second round re-reads through the cache
+			for s := int32(0); s < g.N(); s++ {
+				for u := int32(0); u < g.N(); u++ {
+					got, err := d.Distance(s, u)
+					if err != nil {
+						if !strings.Contains(err.Error(), "not strictly sorted") {
+							t.Fatalf("cache %d: dist(%d,%d): %v, want the row named", cache, s, u, err)
+						}
+						failed++
+						continue
+					}
+					if got != truth[s][u] {
+						t.Fatalf("cache %d: dist(%d,%d) = %d, want %d", cache, s, u, got, truth[s][u])
+					}
+				}
+			}
+		}
+		if failed == 0 {
+			t.Fatalf("cache %d: no query read the damaged row", cache)
+		}
+		d.Close()
 	}
 }

@@ -2,9 +2,10 @@ package diskidx_test
 
 // FuzzOpenDisk fuzzes the disk-resident open: arbitrary bytes written to
 // a file either fail Open with a clean error or open into an index whose
-// queries neither panic nor fail to read, and wherever label.ParseFlat
-// accepts the same bytes every answer equals the heap index's. Run
-// continuously with
+// queries never panic and answer exactly as the heap index over the
+// same bytes, or fail with an error. A query fails exactly when a label
+// row it reads breaks label.CheckRow (the rows ParseFlat refuses); an
+// image ParseFlat accepts answers every query. Run continuously with
 //
 //	go test -fuzz FuzzOpenDisk ./internal/diskidx
 
@@ -54,6 +55,7 @@ func FuzzOpenDisk(f *testing.F) {
 	f.Add(mutate(func(b []byte) []byte { return b[:len(b)-3] }))                       // ragged tail
 	f.Add(mutate(func(b []byte) []byte { return append(b, 0, 1, 2, 3) }))              // trailing garbage
 	f.Add(mutate(func(b []byte) []byte { b[len(b)-8] = 0xfe; return b }))              // corrupt entry
+	f.Add(mutate(func(b []byte) []byte { clear(b[len(b)-8:]); return b }))             // zeroed last entry
 	f.Add(mutate(func(b []byte) []byte { copy(b[6:], "\xff\xff\xff\x7f"); return b })) // header damage
 	f.Add(mutate(put64(outOffsets+8*n, 1<<62)))                                        // count*8 overflows
 	// The disk reader's own cases: decreasing offsets, an n beyond the
@@ -93,22 +95,68 @@ func FuzzOpenDisk(f *testing.F) {
 		if heapErr == nil && d.Entries() != heap.Entries() {
 			t.Fatalf("disk open claims %d entries, heap %d", d.Entries(), heap.Entries())
 		}
+		if heapErr != nil {
+			// Open and ParseFlat share the preamble parser, so ParseFlat
+			// refused a row: answer from the same image assembled
+			// without the row checks.
+			heap = uncheckedFlat(t, b)
+		}
 		var sc diskidx.Scratch
 		probe := []int32{-1, 0, 1, d.N() / 2, d.N() - 1, d.N(), d.N() + 7}
 		for _, s := range probe {
 			for _, u := range probe {
 				got, err := d.DistanceScratch(s, u, &sc)
-				if err != nil {
-					// The file is intact: a failed read is a row bound
-					// Open should have refused.
+				bad := badRow(heap, s, u)
+				switch {
+				case bad != nil && err == nil:
+					t.Fatalf("dist(%d,%d) = %d from a row that fails its check: %v", s, u, got, bad)
+				case bad == nil && err != nil:
 					t.Fatalf("dist(%d,%d): %v", s, u, err)
-				}
-				if heapErr == nil {
-					if want := heap.Distance(s, u); got != want {
-						t.Fatalf("dist(%d,%d) = %d on disk, %d on the heap", s, u, got, want)
-					}
+				case err == nil && got != heap.Distance(s, u):
+					t.Fatalf("dist(%d,%d) = %d on disk, %d on the heap", s, u, got, heap.Distance(s, u))
 				}
 			}
 		}
 	})
+}
+
+// uncheckedFlat assembles b as ParseFlat does, but without its row
+// checks.
+func uncheckedFlat(t *testing.T, b []byte) *label.FlatIndex {
+	h, outOff, inOff, err := label.ParseFlatPreamble(int64(len(b)), func(off, n int64) ([]byte, error) {
+		return b[off : off+n], nil
+	}, false)
+	if err != nil {
+		t.Fatalf("disk open accepted a preamble ParseFlatPreamble refuses: %v", err)
+	}
+	f := &label.FlatIndex{Directed: h.Directed, Weighted: h.Weighted, N: h.N, Perm: h.Perm,
+		OutOffsets: outOff, InOffsets: inOff}
+	outEnd := int64(len(b))
+	if f.Directed {
+		outEnd -= 8 * inOff[f.N]
+		f.InEntries = label.EntriesView(b[outEnd:])
+	}
+	f.OutEntries = label.EntriesView(b[outEnd-8*outOff[f.N] : outEnd])
+	if !f.Directed {
+		f.InEntries = f.OutEntries
+	}
+	return f
+}
+
+// badRow returns the label.CheckRow failure of a row the query s -> u
+// reads, or nil.
+func badRow(f *label.FlatIndex, s, u int32) error {
+	if s < 0 || u < 0 || s >= f.N || u >= f.N {
+		return nil
+	}
+	if f.Perm != nil {
+		s, u = f.Perm[s], f.Perm[u]
+	}
+	if s == u {
+		return nil
+	}
+	if err := label.CheckRow("Lout", s, f.Out(s)); err != nil {
+		return err
+	}
+	return label.CheckRow("Lin", u, f.In(u))
 }

@@ -1,16 +1,17 @@
-// Package httpmw is the composable HTTP middleware stack shared by the
-// replica server (internal/server) and the fan-out router
-// (internal/cluster): request-id generation and propagation, structured
-// access logs in a fixed-size ring buffer, panic recovery, and request
-// body limits. It lives apart from both so the router does not import
-// the server (or vice versa) just to log requests the same way.
+// Package httpmw is the one HTTP wrapper shared by the replica server
+// (internal/server) and the fan-out router (internal/cluster): every
+// request gets one record that carries its id (honored from the
+// X-Hopdb-Request-Id header or freshly minted), its access-log entry's
+// annotations and its response status and size, plus panic recovery and
+// an optional request-body cap. It lives apart from both so the router
+// does not import the server (or vice versa) just to log requests the
+// same way.
 package httpmw
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
+	"math/rand/v2"
 	"net/http"
 	"runtime/debug"
 	"sync"
@@ -19,18 +20,6 @@ import (
 
 	"repro/internal/wire"
 )
-
-// Middleware wraps an http.Handler.
-type Middleware func(http.Handler) http.Handler
-
-// Chain applies mws to h with mws[0] outermost:
-// Chain(h, a, b) serves a(b(h)).
-func Chain(h http.Handler, mws ...Middleware) http.Handler {
-	for i := len(mws) - 1; i >= 0; i-- {
-		h = mws[i](h)
-	}
-	return h
-}
 
 // Entry is one completed request in the access log.
 type Entry struct {
@@ -109,48 +98,218 @@ func (l *RingLog) ServeDump(w http.ResponseWriter) {
 	json.NewEncoder(w).Encode(Dump{Total: l.Total(), Entries: l.Entries()})
 }
 
-// ctxKey is the context key space for this package.
-type ctxKey int
+// Options configures Wrap.
+type Options struct {
+	// Log receives one entry per completed request.
+	Log *RingLog
+	// Logf reports recovered panics with their stack; nil drops them.
+	Logf func(format string, args ...any)
+	// MaxBody caps request bodies, in bytes: a handler reading past it
+	// gets the error http.MaxBytesReader pairs with a 413. 0 leaves
+	// bodies uncapped.
+	MaxBody int64
+	// Now is the clock for entry times and durations; nil is time.Now.
+	Now func() time.Time
+}
 
-const (
-	idKey ctxKey = iota
-	annotKey
-)
+// Wrap returns h behind the per-request wrapper. Each request gets one
+// record, which becomes its context with a single WithContext:
+//
+//   - the request id: a valid incoming X-Hopdb-Request-Id is kept (so
+//     one id follows a request across tiers), anything else is replaced
+//     with a fresh one; the id is echoed on the response and readable
+//     through RequestIDFromContext, and the caller's request headers are
+//     left untouched;
+//   - the access-log entry, written into opts.Log when the handler
+//     returns, with the dataset and principal the handler annotated
+//     (SetDataset, SetPrincipal);
+//   - panic recovery: a handler panic answers 500 with the API's JSON
+//     error shape (when nothing was written yet), is logged with its
+//     stack through opts.Logf, and the server lives on;
+//     http.ErrAbortHandler passes through untouched, as the stdlib's own
+//     abort protocol;
+//   - the body cap, when opts.MaxBody is positive and there is a body.
+func Wrap(h http.Handler, opts Options) http.Handler {
+	if opts.Logf == nil {
+		opts.Logf = func(string, ...any) {}
+	}
+	if opts.Now == nil {
+		opts.Now = time.Now
+	}
+	return &wrapper{next: h, opts: opts}
+}
 
-// annot carries the handler-set access-log annotations. It is mutex-
-// guarded because http.TimeoutHandler can abandon a handler goroutine
-// that annotates after the access-log middleware reads.
-type annot struct {
+type wrapper struct {
+	next http.Handler
+	opts Options
+}
+
+func (m *wrapper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	rec := &record{Context: r.Context(), ResponseWriter: w, start: m.opts.Now()}
+	if v := r.Header[wire.HeaderRequestID]; len(v) > 0 && validRequestID(v[0]) {
+		rec.id[0] = v[0]
+	} else {
+		rec.id[0] = NewRequestID()
+	}
+	// The key is canonical and the value slice is the record's own, so
+	// echoing the id costs neither a canonicalisation nor an allocation.
+	w.Header()[wire.HeaderRequestID] = rec.id[:]
+	r = r.WithContext(rec)
+	if m.opts.MaxBody > 0 && r.Body != nil && r.Body != http.NoBody {
+		r.Body = http.MaxBytesReader(rec, r.Body, m.opts.MaxBody)
+	}
+	defer m.finish(rec, r)
+	m.next.ServeHTTP(rec, r)
+}
+
+// finish runs deferred after the handler: it turns a panic into a 500,
+// then logs the request.
+func (m *wrapper) finish(rec *record, r *http.Request) {
+	v := recover()
+	if v != nil && v != http.ErrAbortHandler {
+		m.opts.Logf("panic serving %s %s (request %s): %v\n%s",
+			r.Method, r.URL.Path, rec.id[0], v, debug.Stack())
+		if rec.status.Load() == 0 {
+			wire.WriteError(rec, http.StatusInternalServerError, "internal server error")
+		}
+	}
+	rec.mu.Lock()
+	dataset, principal := rec.dataset, rec.principal
+	rec.mu.Unlock()
+	status := int(rec.status.Load())
+	if status == 0 {
+		status = http.StatusOK
+	}
+	m.opts.Log.add(Entry{
+		Time:       rec.start,
+		ID:         rec.id[0],
+		Method:     r.Method,
+		Path:       r.URL.Path,
+		Query:      r.URL.RawQuery,
+		Status:     status,
+		Bytes:      rec.bytes.Load(),
+		DurationMS: float64(m.opts.Now().Sub(rec.start)) / float64(time.Millisecond),
+		Dataset:    dataset,
+		Principal:  principal,
+		Remote:     r.RemoteAddr,
+	})
+	if v == http.ErrAbortHandler {
+		panic(v)
+	}
+}
+
+// recordKey is the context key of a request's record.
+type recordKey struct{}
+
+// record is one request's state. It is the request's context (the
+// incoming one, extended with the record under recordKey) and the
+// ResponseWriter its handler writes through, so attaching it costs no
+// allocation beyond its own. It is never pooled, and its annotations
+// are mutex-guarded and its counters atomic, because
+// http.TimeoutHandler can abandon a handler goroutine that still holds
+// the request (and so the record) after the wrapper has logged and
+// returned.
+type record struct {
+	context.Context
+	http.ResponseWriter
+	// id[0] is the request id; the array doubles as the value slice of
+	// the response's X-Hopdb-Request-Id header.
+	id     [1]string
+	start  time.Time
+	status atomic.Int32
+	bytes  atomic.Int64
+
 	mu        sync.Mutex
 	dataset   string
 	principal string
+	auth      any
 }
 
-// RequestIDFromContext returns the request id assigned by the RequestID
-// middleware, or "".
+// Value answers recordKey with the record itself and defers every other
+// key to the incoming context, as context.WithValue would.
+func (rec *record) Value(key any) any {
+	if key == (recordKey{}) {
+		return rec
+	}
+	return rec.Context.Value(key)
+}
+
+func recordOf(ctx context.Context) *record {
+	rec, _ := ctx.Value(recordKey{}).(*record)
+	return rec
+}
+
+func (rec *record) WriteHeader(code int) {
+	rec.status.CompareAndSwap(0, int32(code))
+	rec.ResponseWriter.WriteHeader(code)
+}
+
+func (rec *record) Write(b []byte) (int, error) {
+	rec.status.CompareAndSwap(0, http.StatusOK)
+	n, err := rec.ResponseWriter.Write(b)
+	rec.bytes.Add(int64(n))
+	return n, err
+}
+
+// Unwrap supports http.ResponseController.
+func (rec *record) Unwrap() http.ResponseWriter { return rec.ResponseWriter }
+
+// Flush forwards to the underlying writer when it supports flushing.
+func (rec *record) Flush() {
+	if f, ok := rec.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// Start returns the time Wrap took the request, on the Options.Now
+// clock, so a handler timing the whole request needs no clock read of
+// its own. It is the zero time outside Wrap.
+func Start(r *http.Request) time.Time {
+	if rec := recordOf(r.Context()); rec != nil {
+		return rec.start
+	}
+	return time.Time{}
+}
+
+// RequestIDFromContext returns the id Wrap assigned the request, or "".
 func RequestIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(idKey).(string)
-	return id
+	if rec := recordOf(ctx); rec != nil {
+		return rec.id[0]
+	}
+	return ""
 }
 
 // SetDataset annotates the request's access-log entry with the resolved
-// dataset name. A no-op without the AccessLog middleware.
+// dataset name. A no-op outside Wrap.
 func SetDataset(r *http.Request, name string) {
-	if a, ok := r.Context().Value(annotKey).(*annot); ok {
-		a.mu.Lock()
-		a.dataset = name
-		a.mu.Unlock()
+	if rec := recordOf(r.Context()); rec != nil {
+		rec.mu.Lock()
+		rec.dataset = name
+		rec.mu.Unlock()
 	}
 }
 
-// SetPrincipal annotates the request's access-log entry with the
-// authenticated principal name. A no-op without the AccessLog middleware.
-func SetPrincipal(r *http.Request, name string) {
-	if a, ok := r.Context().Value(annotKey).(*annot); ok {
-		a.mu.Lock()
-		a.principal = name
-		a.mu.Unlock()
+// SetPrincipal records the request's authenticated principal: name
+// annotates its access-log entry, and auth is the caller's own state
+// for it, returned by Principal. A no-op outside Wrap.
+func SetPrincipal(r *http.Request, name string, auth any) {
+	if rec := recordOf(r.Context()); rec != nil {
+		rec.mu.Lock()
+		rec.principal, rec.auth = name, auth
+		rec.mu.Unlock()
 	}
+}
+
+// Principal returns the auth value SetPrincipal stored for the request,
+// or nil.
+func Principal(ctx context.Context) any {
+	rec := recordOf(ctx)
+	if rec == nil {
+		return nil
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return rec.auth
 }
 
 // validRequestID reports whether an incoming id is safe to propagate
@@ -171,145 +330,15 @@ func validRequestID(id string) bool {
 	return true
 }
 
-// NewRequestID returns a fresh random request id (16 hex characters).
+// NewRequestID returns a fresh random request id: 16 hex characters, in
+// one allocation. An id correlates log lines and is no secret, so it
+// draws on the runtime's per-thread generator rather than crypto/rand.
 func NewRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000"
+	const digits = "0123456789abcdef"
+	var h [16]byte
+	u := rand.Uint64()
+	for i := range h {
+		h[i] = digits[u>>(60-4*i)&15]
 	}
-	return hex.EncodeToString(b[:])
-}
-
-// RequestID propagates the X-Hopdb-Request-Id header: an incoming valid
-// id is kept (so one id follows a request across tiers), anything else
-// is replaced with a fresh one. The id is echoed on the response and
-// stored in the request context (RequestIDFromContext).
-func RequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(wire.HeaderRequestID)
-		if !validRequestID(id) {
-			id = NewRequestID()
-			r.Header.Set(wire.HeaderRequestID, id) // tiers behind us see it too
-		}
-		w.Header().Set(wire.HeaderRequestID, id)
-		r = r.WithContext(context.WithValue(r.Context(), idKey, id))
-		next.ServeHTTP(w, r)
-	})
-}
-
-// AccessLog records every completed request into l. Place it inside
-// RequestID (so entries carry the id) and outside Recover (so panics
-// still log with status 500). now is the clock (nil means time.Now).
-func AccessLog(l *RingLog, now func() time.Time) Middleware {
-	if now == nil {
-		now = time.Now
-	}
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			start := now()
-			a := &annot{}
-			r = r.WithContext(context.WithValue(r.Context(), annotKey, a))
-			sw := &statusWriter{ResponseWriter: w}
-			defer func() {
-				a.mu.Lock()
-				dataset, principal := a.dataset, a.principal
-				a.mu.Unlock()
-				status := int(sw.status.Load())
-				if status == 0 {
-					status = http.StatusOK
-				}
-				l.add(Entry{
-					Time:       start,
-					ID:         RequestIDFromContext(r.Context()),
-					Method:     r.Method,
-					Path:       r.URL.Path,
-					Query:      r.URL.RawQuery,
-					Status:     status,
-					Bytes:      sw.bytes.Load(),
-					DurationMS: float64(now().Sub(start)) / float64(time.Millisecond),
-					Dataset:    dataset,
-					Principal:  principal,
-					Remote:     r.RemoteAddr,
-				})
-			}()
-			next.ServeHTTP(sw, r)
-		})
-	}
-}
-
-// Recover converts a handler panic into a 500 with the API's JSON error
-// shape (when nothing has been written yet), logs the stack through
-// logf, and keeps the server alive. http.ErrAbortHandler passes through
-// untouched — it is the stdlib's own abort protocol, not a bug.
-func Recover(logf func(format string, args ...any)) Middleware {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw, ok := w.(*statusWriter)
-			if !ok {
-				sw = &statusWriter{ResponseWriter: w}
-			}
-			defer func() {
-				v := recover()
-				if v == nil {
-					return
-				}
-				if v == http.ErrAbortHandler {
-					panic(v)
-				}
-				logf("panic serving %s %s (request %s): %v\n%s",
-					r.Method, r.URL.Path, RequestIDFromContext(r.Context()), v, debug.Stack())
-				if sw.status.Load() == 0 {
-					wire.WriteError(sw, http.StatusInternalServerError, "internal server error")
-				}
-			}()
-			next.ServeHTTP(sw, r)
-		})
-	}
-}
-
-// MaxBody rejects request bodies beyond n bytes: handlers reading past
-// the limit get an error that http.MaxBytesReader pairs with a 413.
-func MaxBody(n int64) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Body != nil && n > 0 {
-				r.Body = http.MaxBytesReader(w, r.Body, n)
-			}
-			next.ServeHTTP(w, r)
-		})
-	}
-}
-
-// statusWriter captures the response status and body size. Counters are
-// atomic for the same reason annot is mutex-guarded: http.TimeoutHandler
-// abandons handler goroutines that may still be writing.
-type statusWriter struct {
-	http.ResponseWriter
-	status atomic.Int32
-	bytes  atomic.Int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status.CompareAndSwap(0, int32(code))
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.status.CompareAndSwap(0, http.StatusOK)
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes.Add(int64(n))
-	return n, err
-}
-
-// Unwrap supports http.ResponseController.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// Flush forwards to the underlying writer when it supports flushing.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
+	return string(h[:])
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -56,26 +57,37 @@ type tokenFile struct {
 	Principals []Principal `json:"principals"`
 }
 
-// LoadTokenFile reads and validates a token file:
+// LoadTokenFile reads and validates a token file (see ParseTokenFile).
+func LoadTokenFile(path string) ([]Principal, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	ps, err := ParseTokenFile(raw)
+	if err != nil {
+		return nil, fmt.Errorf("token file %s: %w", path, err)
+	}
+	return ps, nil
+}
+
+// ParseTokenFile decodes and validates a token file's contents:
 //
 //	{"principals": [
 //	  {"token": "s3cret", "name": "alice", "scopes": ["read"],
 //	   "datasets": ["wiki"], "rate_qps": 100, "burst": 200},
 //	  {"token": "0p5", "name": "ops", "scopes": ["read","write","admin"]}
 //	]}
-func LoadTokenFile(path string) ([]Principal, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+//
+// Unknown fields are refused; the list must pass ValidatePrincipals.
+func ParseTokenFile(raw []byte) ([]Principal, error) {
 	var tf tokenFile
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&tf); err != nil {
-		return nil, fmt.Errorf("token file %s: %w", path, err)
+		return nil, err
 	}
 	if err := ValidatePrincipals(tf.Principals); err != nil {
-		return nil, fmt.Errorf("token file %s: %w", path, err)
+		return nil, err
 	}
 	return tf.Principals, nil
 }
@@ -256,14 +268,10 @@ func (p *principalState) allows(scope, dataset string) (ok bool, reason string) 
 	return true, ""
 }
 
-// principalKey carries the authenticated *principalState through the
-// request context from authorize to charge.
-type principalKeyT struct{}
-
-var principalKey principalKeyT
-
+// principalFrom returns the *principalState authorize stored in the
+// request's record, or nil.
 func principalFrom(ctx context.Context) *principalState {
-	p, _ := ctx.Value(principalKey).(*principalState)
+	p, _ := httpmw.Principal(ctx).(*principalState)
 	return p
 }
 
@@ -272,9 +280,9 @@ func bearerToken(r *http.Request) string {
 	return tok
 }
 
-// authorize gates a route on scope and dataset and returns the request
-// (re-derived with the principal in its context) on success, nil after
-// writing the error response on failure.
+// authorize gates a route on scope and dataset. On success it stores the
+// principal in the request's record (for charge and the access log);
+// on failure it writes the error response and reports false.
 //
 // Three regimes:
 //   - No auth configured at all: reads are open; write/admin routes are
@@ -285,13 +293,13 @@ func bearerToken(r *http.Request) string {
 //     resolves to a principal holding the scope (401 unknown token, 403
 //     insufficient scope or missing dataset grant). The admin token, when
 //     also set, keeps working with every scope.
-func (s *Server) authorize(w http.ResponseWriter, r *http.Request, scope, dataset string) (*http.Request, bool) {
+func (s *Server) authorize(w http.ResponseWriter, r *http.Request, scope, dataset string) bool {
 	if s.auth == nil {
 		if scope == ScopeRead {
-			return r, true
+			return true
 		}
 		wire.WriteError(w, http.StatusForbidden, "admin API disabled; start the server with an admin token or a token file")
-		return nil, false
+		return false
 	}
 	tok := bearerToken(r)
 	pr, ok := s.auth.lookup(tok)
@@ -299,17 +307,17 @@ func (s *Server) authorize(w http.ResponseWriter, r *http.Request, scope, datase
 		if scope == ScopeRead && len(s.auth.principals) == 0 {
 			// Only the legacy admin token is configured: the query
 			// surface stays open, as it always was.
-			return r, true
+			return true
 		}
 		wire.WriteError(w, http.StatusUnauthorized, "missing or invalid admin bearer token")
-		return nil, false
+		return false
 	}
 	if allowed, reason := pr.allows(scope, dataset); !allowed {
 		wire.WriteError(w, http.StatusForbidden, reason)
-		return nil, false
+		return false
 	}
-	httpmw.SetPrincipal(r, pr.name)
-	return r.WithContext(context.WithValue(r.Context(), principalKey, pr)), true
+	httpmw.SetPrincipal(r, pr.name, pr)
+	return true
 }
 
 // charge withdraws n tokens (one per answered pair) from the request's

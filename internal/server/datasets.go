@@ -71,14 +71,15 @@ func (s *Server) stateFor(d *registry.Dataset) *dsState {
 	return v.(*dsState)
 }
 
-// resolve acquires the named dataset and its serving state; the caller
-// must call release when the request completes.
-func (s *Server) resolve(name string) (st *dsState, release func(), ok bool) {
+// resolve acquires the named dataset and its serving state, or returns
+// a nil dataset when none is attached under name. The caller must call
+// d.Release when the request completes.
+func (s *Server) resolve(name string) (d *registry.Dataset, st *dsState) {
 	d, ok := s.reg.Acquire(name)
 	if !ok {
-		return nil, nil, false
+		return nil, nil
 	}
-	return s.stateFor(d), d.Release, true
+	return d, s.stateFor(d)
 }
 
 // Registry returns the server's dataset registry.
@@ -219,7 +220,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if !wire.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
-	if _, ok := s.authorize(w, r, ScopeAdmin, ""); !ok {
+	if !s.authorize(w, r, ScopeAdmin, "") {
 		return
 	}
 	snap := s.reg.Snapshot()
@@ -246,7 +247,7 @@ func (s *Server) handleDatasetByName(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	httpmw.SetDataset(r, name)
-	if _, ok := s.authorize(w, r, ScopeAdmin, name); !ok {
+	if !s.authorize(w, r, ScopeAdmin, name) {
 		return
 	}
 	if err := wire.ValidateDatasetName(name); err != nil {
@@ -297,8 +298,8 @@ func (s *Server) attachDataset(w http.ResponseWriter, r *http.Request, name stri
 		wire.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	st, release, _ := s.resolve(name)
-	defer release()
+	d, st := s.resolve(name)
+	defer d.Release()
 	s.logf("dataset %q attached: %s backend, %d vertices", name, st.backend.Backend, st.backend.Vertices)
 	wire.WriteJSON(w, http.StatusOK, map[string]any{"dataset": name, "stats": s.statsFor(st)})
 }
@@ -309,7 +310,7 @@ func (s *Server) handleAccessLog(w http.ResponseWriter, r *http.Request) {
 	if !wire.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
-	if _, ok := s.authorize(w, r, ScopeAdmin, ""); !ok {
+	if !s.authorize(w, r, ScopeAdmin, "") {
 		return
 	}
 	s.accessLog.ServeDump(w)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -537,6 +539,58 @@ func TestDiskBackendServing(t *testing.T) {
 	}
 	if status, body := get(t, ts.URL+"/v1/stats"); status != 200 || !strings.Contains(body, `"backend":"disk"`) {
 		t.Errorf("disk stats = %d %s", status, body)
+	}
+}
+
+// TestDiskCorruptRowIs502: a disk-served file whose framing is intact
+// but whose last label entry carries an infinite distance opens, and
+// every GET reading that row answers 502 naming it instead of a wrong
+// distance; the other answers stay right.
+func TestDiskCorruptRowIs502(t *testing.T) {
+	idx := testIndex(t)
+	file := filepath.Join(t.TempDir(), "g.idx")
+	if err := idx.Save(file); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[len(b)-4:], hopdb.Infinity)
+	if err := os.WriteFile(file, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dq, err := hopdb.Open(file, hopdb.WithDisk(hopdb.DiskOptions{}))
+	if err != nil {
+		t.Fatalf("open refused an image with intact framing: %v", err)
+	}
+	defer dq.Close()
+	ts := httptest.NewServer(New(dq, Config{}).Handler())
+	defer ts.Close()
+
+	var failed int
+	for s := int32(0); s < 6; s++ {
+		for u := int32(0); u < 6; u++ {
+			status, body := get(t, ts.URL+fmt.Sprintf("/v1/distance?s=%d&t=%d", s, u))
+			if status == http.StatusBadGateway {
+				if !strings.Contains(body, "infinite distance") {
+					t.Errorf("dist(%d,%d): 502 %s, want the bad row named", s, u, body)
+				}
+				failed++
+				continue
+			}
+			want, wantOK := idx.Distance(s, u)
+			var dr wire.DistanceResult
+			if err := json.Unmarshal([]byte(body), &dr); status != 200 || err != nil {
+				t.Fatalf("dist(%d,%d) = %d %s", s, u, status, body)
+			}
+			if dr.Reachable != wantOK || (wantOK && *dr.Distance != want) {
+				t.Errorf("dist(%d,%d) = %+v, want (%d,%v)", s, u, dr, want, wantOK)
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no query read the damaged row")
 	}
 }
 

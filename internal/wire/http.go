@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"reflect"
 	"strconv"
 	"strings"
@@ -49,7 +50,7 @@ func AllowMethod(w http.ResponseWriter, r *http.Request, methods ...string) bool
 
 // WriteJSON writes v as the JSON response body with the given status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = []string{"application/json"}
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
@@ -61,10 +62,10 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 
 // ParsePair reads the s and t query parameters of a distance or path
 // request, answering 400 itself when either is missing or not an int32.
+// It reads them as r.URL.Query().Get would, without building the map.
 func ParsePair(w http.ResponseWriter, r *http.Request) (s, t int32, ok bool) {
-	q := r.URL.Query()
 	parse := func(name string) (int32, bool) {
-		raw := q.Get(name)
+		raw := queryValue(r.URL.RawQuery, name)
 		if raw == "" {
 			WriteError(w, http.StatusBadRequest, "missing required parameter "+name)
 			return 0, false
@@ -82,14 +83,49 @@ func ParsePair(w http.ResponseWriter, r *http.Request) (s, t int32, ok bool) {
 	return s, t, ok
 }
 
-// WriteDistance answers one /v1/distance pair with 200; an unreachable
-// pair omits the distance.
-func WriteDistance(w http.ResponseWriter, s, t int32, d uint32) {
-	res := DistanceResult{S: s, T: t, Reachable: d != Infinity}
-	if res.Reachable {
-		res.Distance = &d
+// queryValue returns the first value of the query parameter name in
+// rawQuery, or "" when it has none, exactly as url.ParseQuery followed
+// by Values.Get: segments split on '&', a segment holding a ';' or a
+// malformed %-escape (in its key or its value) does not count, and keys
+// and values are unescaped ('+' is a space). It allocates only to
+// unescape a key or value that needs it.
+func queryValue(rawQuery, name string) string {
+	for rawQuery != "" {
+		var seg string
+		seg, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if seg == "" || strings.Contains(seg, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(seg, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != name {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
 	}
-	WriteJSON(w, http.StatusOK, res)
+	return ""
+}
+
+// WriteDistance answers one /v1/distance pair with 200; an unreachable
+// pair omits the distance. The body is byte-identical to encoding/json's
+// rendering of DistanceResult, trailing newline included.
+func WriteDistance(w http.ResponseWriter, s, t int32, d uint32) {
+	b := make([]byte, 0, 80)
+	b = append(b, `{"s":`...)
+	b = strconv.AppendInt(b, int64(s), 10)
+	b = append(b, `,"t":`...)
+	b = strconv.AppendInt(b, int64(t), 10)
+	if d != Infinity {
+		b = append(b, `,"distance":`...)
+		b = strconv.AppendUint(b, uint64(d), 10)
+		b = append(b, `,"reachable":true}`+"\n"...)
+	} else {
+		b = append(b, `,"reachable":false}`+"\n"...)
+	}
+	w.Header()["Content-Type"] = []string{"application/json"}
+	w.WriteHeader(http.StatusOK)
+	w.Write(b)
 }
 
 // CheckMinSeq enforces a request's X-Hopdb-Min-Seq read-your-writes
@@ -99,7 +135,10 @@ func WriteDistance(w http.ResponseWriter, s, t int32, d uint32) {
 // answers 503 with Retry-After, so a router or retrying client moves on
 // to a caught-up replica. It reports whether the request may proceed.
 func CheckMinSeq(w http.ResponseWriter, r *http.Request, seq int64) bool {
-	raw := r.Header.Get(HeaderMinSeq)
+	var raw string
+	if v := r.Header[HeaderMinSeq]; len(v) > 0 {
+		raw = v[0]
+	}
 	if raw == "" {
 		return true
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -195,3 +196,109 @@ func FuzzReadBatch(f *testing.F) {
 		}
 	})
 }
+
+// parsePairRef is the url.Values-based pair parser ParsePair replaced,
+// kept as the reference its answers must match.
+func parsePairRef(w http.ResponseWriter, r *http.Request) (s, t int32, ok bool) {
+	q := r.URL.Query()
+	parse := func(name string) (int32, bool) {
+		raw := q.Get(name)
+		if raw == "" {
+			WriteError(w, http.StatusBadRequest, "missing required parameter "+name)
+			return 0, false
+		}
+		v, err := strconv.ParseInt(raw, 10, 32)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("parameter %s=%q is not a vertex id", name, raw))
+			return 0, false
+		}
+		return int32(v), true
+	}
+	if s, ok = parse("s"); ok {
+		t, ok = parse("t")
+	}
+	return s, t, ok
+}
+
+// FuzzParsePair checks ParsePair against parsePairRef on arbitrary raw
+// queries: the same pair and verdict, the same status and the same
+// error body.
+func FuzzParsePair(f *testing.F) {
+	for _, q := range []string{
+		"", "s=1", "t=1", "s=abc&t=1", "s=1&t=1e3", "s=99999999999&t=1", // the server's bad requests
+		"s=0&t=1", "s=-1&t=0", "s=1&t=2147483648", "s=%2B5&t=3", "s=+5&t=3",
+		"s=1&s=2&t=3", "s=&s=2&t=3", "s=1;t=3", "s=1&t=3;x", "t=%zz&s=1&t=4",
+		"s=1&t=%zz", "%73=4&t=5", "s%3D1=2&t=3", "s=&t=", "s&t", "&&s=1&&t=2&",
+		"s=12345678901234567890&t=1", "s=1&t=-12345678901234567890", "s=1%&t=2",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, rawQuery string) {
+		r := httptest.NewRequest(http.MethodGet, "/v1/distance", nil)
+		r.URL.RawQuery = rawQuery
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		gs, gt, gok := ParsePair(got, r)
+		ws, wt, wok := parsePairRef(want, r)
+		if gs != ws || gt != wt || gok != wok {
+			t.Fatalf("%q: ParsePair = (%d, %d, %v), reference (%d, %d, %v)", rawQuery, gs, gt, gok, ws, wt, wok)
+		}
+		if got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Fatalf("%q: ParsePair answered %d %q, reference %d %q",
+				rawQuery, got.Code, got.Body, want.Code, want.Body)
+		}
+	})
+}
+
+// TestWriteDistanceMatchesJSON: WriteDistance's hand-built body is
+// byte-identical to encoding/json's rendering of DistanceResult.
+func TestWriteDistanceMatchesJSON(t *testing.T) {
+	for _, c := range []struct {
+		s, t int32
+		d    uint32
+	}{
+		{0, 0, 0}, {1, 9, 3}, {-1, 2147483647, Infinity - 1}, {-2147483648, 5, Infinity}, {7, 7, Infinity},
+	} {
+		w := httptest.NewRecorder()
+		WriteDistance(w, c.s, c.t, c.d)
+		res := DistanceResult{S: c.s, T: c.t, Reachable: c.d != Infinity}
+		if res.Reachable {
+			res.Distance = &c.d
+		}
+		want := httptest.NewRecorder()
+		WriteJSON(want, http.StatusOK, res)
+		if w.Code != http.StatusOK || w.Body.String() != want.Body.String() ||
+			w.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("WriteDistance(%d, %d, %d) = %d %q (%s), want %q",
+				c.s, c.t, c.d, w.Code, w.Body, w.Header().Get("Content-Type"), want.Body)
+		}
+	}
+}
+
+// TestParsePairAndWriteDistanceAllocs: a well-formed pair parses, and
+// its answer is written, with no allocation beyond the answer's bytes
+// and its Content-Type value.
+func TestParsePairAndWriteDistanceAllocs(t *testing.T) {
+	r := httptest.NewRequest(http.MethodGet, "/v1/distance?s=12&t=345", nil)
+	w := httptest.NewRecorder()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok := ParsePair(w, r); !ok {
+			t.Fatal("pair refused")
+		}
+	}); allocs != 0 {
+		t.Errorf("ParsePair: %v allocations, want 0", allocs)
+	}
+	dw := &countingWriter{h: http.Header{}}
+	if allocs := testing.AllocsPerRun(100, func() { WriteDistance(dw, 12, 345, 7) }); allocs > 2 {
+		t.Errorf("WriteDistance: %v allocations, want at most 2", allocs)
+	}
+}
+
+// countingWriter is a ResponseWriter that discards the body.
+type countingWriter struct {
+	h http.Header
+	n int
+}
+
+func (w *countingWriter) Header() http.Header         { return w.h }
+func (w *countingWriter) WriteHeader(int)             {}
+func (w *countingWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
